@@ -1,54 +1,49 @@
-//! Sequential-vs-parallel admission throughput benchmark.
+//! Stream admission throughput benchmark for the sequential seeded pipeline.
 //!
-//! Pushes one fixed request stream through `relaug::parallel` at several
-//! worker counts, prints the criterion timings, and records the measured
-//! throughput into `BENCH_stream.json` at the workspace root (the CI
-//! artifact). Worker counts beyond the machine's core count are still run —
-//! the JSON records `cores` so a reader can judge which speedups were
-//! physically attainable — and every parallel run is checked byte-identical
-//! to the sequential baseline before its timing is trusted.
+//! Pushes one fixed request stream through `relaug::stream`, prints the
+//! criterion timings, and records the measured throughput into
+//! `BENCH_stream.json` at the workspace root (the CI artifact).
 //!
 //! Two fixtures:
 //!
 //! 1. **Toy** — the historical 120-request `WorkloadConfig::default()`
-//!    stream, criterion-sampled plus hand-timed (`results` in the JSON; the
-//!    CI overhead gate reads these rows).
+//!    stream, criterion-sampled plus hand-timed (`results` in the JSON).
 //! 2. **Scenario** — the `sagin-1k` zoo preset (≥1,000 cloudlets) with a
 //!    lazily synthesized million-request stream fed straight into the
-//!    engines' sink entry points, hand-timed once per worker count
-//!    (`scenario` in the JSON). Nothing is materialized: identity against
-//!    the sequential baseline is checked with the order-sensitive FNV record
-//!    hash and the final residual vector. `QUICK=1` shrinks the stream for
-//!    CI.
+//!    pipeline's sink entry point, hand-timed once uncached and once with
+//!    the admission plan cache armed (`scenario` in the JSON). Nothing is
+//!    materialized: the uncached run is identified by its order-sensitive
+//!    FNV record hash. `QUICK=1` shrinks the stream for CI.
+//!
+//! Every row reports the admitted count and admitted solves/s next to
+//! req/s: on a saturating stream most requests are cheap rejects, so req/s
+//! alone measures the reject path.
 
 use std::time::{Duration, Instant};
 
-use bench_harness::{fold_admitted_set_hash, fold_record_hash, RECORD_HASH_SEED};
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench_harness::{fold_record_hash, RECORD_HASH_SEED};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mecnet::request::SfcRequest;
 use mecnet::workload::{generate_catalog, generate_network, WorkloadConfig};
 use obs::Recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use relaug::parallel::{
-    process_stream_metered_sink, process_stream_parallel, CommitOrder, ParallelConfig,
+use relaug::stream::{
+    process_stream_seeded, process_stream_seeded_sink, Algorithm, StreamConfig, StreamOutcome,
 };
-use relaug::relaxed::process_stream_relaxed_reported;
-use relaug::stream::{process_stream_seeded_sink, Algorithm, StreamConfig, StreamOutcome};
 use scen::{BuiltScenario, RequestStream, ScenarioSpec};
 use serde::Value;
 
 const SEED: u64 = 42;
 const REQUESTS: usize = 120;
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Hand-timed repetitions per worker count for the JSON record (criterion's
-/// printed numbers come from its own sampling loop).
+/// Hand-timed repetitions for the JSON record (criterion's printed numbers
+/// come from its own sampling loop).
 const RECORD_REPS: usize = 5;
 
 const SCENARIO: &str = "sagin-1k";
 const SCENARIO_REQUESTS: u64 = 1_000_000;
 const SCENARIO_REQUESTS_QUICK: u64 = 150_000;
-const SCENARIO_WORKERS: [usize; 3] = [1, 2, 4];
+const PLAN_CACHE_ENTRIES: usize = 4096;
 
 struct Fixture {
     network: mecnet::MecNetwork,
@@ -67,191 +62,41 @@ fn fixture() -> Fixture {
     Fixture { network, catalog, requests }
 }
 
-fn run(fx: &Fixture, workers: usize) -> StreamOutcome {
-    let pcfg = ParallelConfig {
-        stream: StreamConfig {
-            algorithm: Algorithm::Heuristic(Default::default()),
-            ..Default::default()
-        },
-        workers,
-        seed: SEED,
-        ..Default::default()
-    };
-    process_stream_parallel(&fx.network, &fx.catalog, &fx.requests, &pcfg)
+fn run(fx: &Fixture) -> StreamOutcome {
+    let cfg =
+        StreamConfig { algorithm: Algorithm::Heuristic(Default::default()), ..Default::default() };
+    process_stream_seeded(&fx.network, &fx.catalog, &fx.requests, &cfg, SEED, &mut Recorder::noop())
+        .0
 }
 
-struct WorkerResult {
-    workers: usize,
-    mean_s: f64,
-    min_s: f64,
-    throughput_rps: f64,
-    speedup_vs_sequential: f64,
-    identical_to_sequential: bool,
+/// One hand-timed scenario-scale run: the lazy stream goes straight into the
+/// sink entry point, records folded into the hash as they are produced.
+struct ScenarioRun {
+    hash: u64,
+    admitted: u64,
+    solves: u64,
+    elapsed_s: f64,
+    plan_cache: Option<obs::PlanCacheReport>,
 }
 
-impl WorkerResult {
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("workers".into(), Value::U64(self.workers as u64)),
-            ("mean_s".into(), Value::F64(self.mean_s)),
-            ("min_s".into(), Value::F64(self.min_s)),
-            ("throughput_rps".into(), Value::F64(self.throughput_rps)),
-            ("speedup_vs_sequential".into(), Value::F64(self.speedup_vs_sequential)),
-            ("identical_to_sequential".into(), Value::Bool(self.identical_to_sequential)),
-        ])
+impl ScenarioRun {
+    fn rates(&self, requests: u64) -> Vec<(String, Value)> {
+        vec![
+            ("mean_s".into(), Value::F64(self.elapsed_s)),
+            ("throughput_rps".into(), Value::F64(requests as f64 / self.elapsed_s)),
+            ("admitted".into(), Value::U64(self.admitted)),
+            ("solves_per_s".into(), Value::F64(self.solves as f64 / self.elapsed_s)),
+        ]
     }
 }
 
-/// One hand-timed scenario-scale run: the lazy stream goes straight into
-/// the sink engine (workers = 1 resolves to the sequential driver inside),
-/// records folded into the hash as they are produced.
-struct ScenarioRun {
-    hash: u64,
-    final_residual: Vec<f64>,
-    admitted: u64,
-    elapsed_s: f64,
-}
-
-fn run_scenario(built: &BuiltScenario, requests: u64, workers: usize) -> ScenarioRun {
-    let pcfg = ParallelConfig {
-        stream: StreamConfig {
-            algorithm: Algorithm::Heuristic(Default::default()),
-            ..Default::default()
-        },
-        workers,
-        seed: built.spec.seed,
+fn run_scenario(built: &BuiltScenario, requests: u64, plan_cache: usize) -> ScenarioRun {
+    let cfg = StreamConfig {
+        algorithm: Algorithm::Heuristic(Default::default()),
+        plan_cache,
         ..Default::default()
     };
     let mut hash = RECORD_HASH_SEED;
-    let mut admitted = 0u64;
-    let started = Instant::now();
-    let (final_residual, _) = process_stream_metered_sink(
-        &built.network,
-        &built.catalog,
-        RequestStream::new(built, requests),
-        &pcfg,
-        0,
-        &mut Recorder::noop(),
-        &mut |r| {
-            hash = fold_record_hash(hash, &r);
-            admitted += r.admitted as u64;
-        },
-    );
-    ScenarioRun { hash, final_residual, admitted, elapsed_s: started.elapsed().as_secs_f64() }
-}
-
-/// One hand-timed relaxed-commit run. The order-sensitive record hash is
-/// undefined here (records arrive in completion order), so the row carries
-/// the order-insensitive admitted-set hash instead; correctness is the
-/// linearization invariant, checked by `stream_exp --verify-linearization`
-/// and the differential-oracle tests rather than re-paid on every timing.
-struct RelaxedRun {
-    admitted_set_hash: u64,
-    admitted: u64,
-    elapsed_s: f64,
-    num_shards: usize,
-    static_local_fraction: f64,
-    local_commit_fraction: f64,
-}
-
-fn run_scenario_relaxed(built: &BuiltScenario, requests: u64, workers: usize) -> RelaxedRun {
-    let pcfg = ParallelConfig {
-        stream: StreamConfig {
-            algorithm: Algorithm::Heuristic(Default::default()),
-            ..Default::default()
-        },
-        workers,
-        seed: built.spec.seed,
-        commit_order: CommitOrder::Relaxed,
-        ..Default::default()
-    };
-    let mut set_hash = 0u64;
-    let mut admitted = 0u64;
-    let started = Instant::now();
-    let (_, _, report) = process_stream_relaxed_reported(
-        &built.network,
-        &built.catalog,
-        RequestStream::new(built, requests),
-        &pcfg,
-        false,
-        &mut Recorder::noop(),
-        &mut |r| {
-            set_hash = fold_admitted_set_hash(set_hash, &r);
-            admitted += r.admitted as u64;
-        },
-    );
-    RelaxedRun {
-        admitted_set_hash: set_hash,
-        admitted,
-        elapsed_s: started.elapsed().as_secs_f64(),
-        num_shards: report.num_shards,
-        static_local_fraction: report.static_local_fraction,
-        local_commit_fraction: report.contention.local_commit_fraction(),
-    }
-}
-
-/// Relaxed rows, speedups quoted against the *deterministic sequential*
-/// baseline — the honest "what did giving up ordering buy" number. Part of
-/// that gain is algorithmic (locality-first admission scans `N_l^+` instead
-/// of every cloudlet) and exists even at one worker on one core; `cores` in
-/// the report lets a reader judge how much parallel scaling was physically
-/// attainable on the bench machine.
-fn relaxed_section(built: &BuiltScenario, requests: u64, det_sequential_s: f64) -> Value {
-    let mut rows: Vec<Value> = Vec::new();
-    let mut shards = 0u64;
-    let mut static_fraction = 0.0f64;
-    for &workers in &SCENARIO_WORKERS {
-        let r = run_scenario_relaxed(built, requests, workers);
-        shards = r.num_shards as u64;
-        static_fraction = r.static_local_fraction;
-        println!(
-            "stream_parallel: scenario {SCENARIO} relaxed workers={workers} — {requests} requests \
-             in {:.2}s ({:.0} req/s, {} admitted, set hash {:016x}, local {:.1}%)",
-            r.elapsed_s,
-            requests as f64 / r.elapsed_s,
-            r.admitted,
-            r.admitted_set_hash,
-            100.0 * r.local_commit_fraction,
-        );
-        rows.push(Value::Obj(vec![
-            ("workers".into(), Value::U64(workers as u64)),
-            ("mean_s".into(), Value::F64(r.elapsed_s)),
-            ("throughput_rps".into(), Value::F64(requests as f64 / r.elapsed_s)),
-            (
-                "speedup_vs_deterministic_sequential".into(),
-                Value::F64(det_sequential_s / r.elapsed_s),
-            ),
-            // Order-sensitive hash is undefined for relaxed commit order.
-            ("record_hash".into(), Value::Null),
-            ("admitted_set_hash".into(), Value::Str(format!("{:016x}", r.admitted_set_hash))),
-            ("admitted".into(), Value::U64(r.admitted)),
-            ("local_commit_fraction".into(), Value::F64(r.local_commit_fraction)),
-        ]));
-    }
-    Value::Obj(vec![
-        ("commit_order".into(), Value::Str("relaxed".into())),
-        ("num_shards".into(), Value::U64(shards)),
-        ("static_local_fraction".into(), Value::F64(static_fraction)),
-        ("results".into(), Value::Arr(rows)),
-    ])
-}
-
-const PLAN_CACHE_ENTRIES: usize = 4096;
-
-/// One hand-timed sequential run with the admission plan cache armed. Cached
-/// admission is oracle-checked rather than byte-identical (hits skip the
-/// solver after revalidating against live residuals), so the row carries the
-/// cache counters instead of an identity bit; speedup is quoted against the
-/// uncached sequential baseline — the tentpole "what did memoization buy on
-/// one core" number. Peak RSS (VmHWM, whole process) is recorded as evidence
-/// the cache stays O(capacity): the 10^6-request run's footprint must not
-/// grow with the stream.
-fn plan_cache_section(built: &BuiltScenario, requests: u64, uncached_sequential_s: f64) -> Value {
-    let cfg = StreamConfig {
-        algorithm: Algorithm::Heuristic(Default::default()),
-        plan_cache: PLAN_CACHE_ENTRIES,
-        ..Default::default()
-    };
     let mut admitted = 0u64;
     let started = Instant::now();
     let (_, ob) = process_stream_seeded_sink(
@@ -261,28 +106,48 @@ fn plan_cache_section(built: &BuiltScenario, requests: u64, uncached_sequential_
         &cfg,
         built.spec.seed,
         &mut Recorder::noop(),
-        &mut |r| admitted += r.admitted as u64,
+        &mut |r| {
+            hash = fold_record_hash(hash, &r);
+            admitted += r.admitted as u64;
+        },
     );
-    let elapsed_s = started.elapsed().as_secs_f64();
-    let report = ob.plan_cache.expect("cached run attaches a report");
+    ScenarioRun {
+        hash,
+        admitted,
+        solves: ob.pipeline.counter("solves"),
+        elapsed_s: started.elapsed().as_secs_f64(),
+        plan_cache: ob.plan_cache,
+    }
+}
+
+/// The sequential run with the admission plan cache armed. Cached admission
+/// is oracle-checked rather than byte-identical (hits skip the solver after
+/// revalidating against live residuals), so the row carries the cache
+/// counters instead of a record hash; speedup is quoted against the uncached
+/// run. Peak RSS (VmHWM, whole process) is recorded as evidence the cache
+/// stays O(capacity): the 10^6-request run's footprint must not grow with
+/// the stream.
+fn plan_cache_section(built: &BuiltScenario, requests: u64, uncached_s: f64) -> Value {
+    let r = run_scenario(built, requests, PLAN_CACHE_ENTRIES);
+    let report = r.plan_cache.expect("cached run attaches a report");
     let peak_rss = expkit::peak_rss_bytes().unwrap_or(0);
     println!(
-        "stream_parallel: scenario {SCENARIO} plan-cache={PLAN_CACHE_ENTRIES} sequential — \
-         {requests} requests in {elapsed_s:.2}s ({:.0} req/s, {admitted} admitted, \
-         hit-rate {:.3}, plan hit-rate {:.3}, {:.1}x vs uncached, peak RSS {})",
-        requests as f64 / elapsed_s,
+        "stream_parallel: scenario {SCENARIO} plan-cache={PLAN_CACHE_ENTRIES} — {requests} \
+         requests in {:.2}s ({:.0} req/s, {} admitted, {:.0} solves/s, hit-rate {:.3}, \
+         plan hit-rate {:.3}, {:.1}x vs uncached, peak RSS {})",
+        r.elapsed_s,
+        requests as f64 / r.elapsed_s,
+        r.admitted,
+        r.solves as f64 / r.elapsed_s,
         report.hit_rate(),
         report.plan_hit_rate(),
-        uncached_sequential_s / elapsed_s,
+        uncached_s / r.elapsed_s,
         expkit::peak_rss_human(),
     );
-    Value::Obj(vec![
-        ("entries".into(), Value::U64(PLAN_CACHE_ENTRIES as u64)),
-        ("workers".into(), Value::U64(1)),
-        ("mean_s".into(), Value::F64(elapsed_s)),
-        ("throughput_rps".into(), Value::F64(requests as f64 / elapsed_s)),
-        ("speedup_vs_uncached_sequential".into(), Value::F64(uncached_sequential_s / elapsed_s)),
-        ("admitted".into(), Value::U64(admitted)),
+    let mut fields = vec![("entries".into(), Value::U64(PLAN_CACHE_ENTRIES as u64))];
+    fields.extend(r.rates(requests));
+    fields.extend([
+        ("speedup_vs_uncached_sequential".into(), Value::F64(uncached_s / r.elapsed_s)),
         ("hit_rate".into(), Value::F64(report.hit_rate())),
         ("plan_hit_rate".into(), Value::F64(report.plan_hit_rate())),
         ("hits".into(), Value::U64(report.hits)),
@@ -293,43 +158,26 @@ fn plan_cache_section(built: &BuiltScenario, requests: u64, uncached_sequential_
         ("insertions".into(), Value::U64(report.insertions)),
         ("evictions".into(), Value::U64(report.evictions)),
         ("peak_rss_bytes".into(), Value::U64(peak_rss)),
-    ])
+    ]);
+    Value::Obj(fields)
 }
 
 fn scenario_section(quick: bool) -> Value {
     let built = ScenarioSpec::preset(SCENARIO).expect("known preset").build();
     let requests = if quick { SCENARIO_REQUESTS_QUICK } else { SCENARIO_REQUESTS };
-    let mut rows: Vec<Value> = Vec::new();
-    let mut baseline: Option<ScenarioRun> = None;
-    for &workers in &SCENARIO_WORKERS {
-        let r = run_scenario(&built, requests, workers);
-        let base = baseline.get_or_insert_with(|| ScenarioRun {
-            hash: r.hash,
-            final_residual: r.final_residual.clone(),
-            admitted: r.admitted,
-            elapsed_s: r.elapsed_s,
-        });
-        let identical = r.hash == base.hash && r.final_residual == base.final_residual;
-        println!(
-            "stream_parallel: scenario {SCENARIO} workers={workers} — {requests} requests in \
-             {:.2}s ({:.0} req/s, {} admitted, hash {:016x}, identical={identical})",
-            r.elapsed_s,
-            requests as f64 / r.elapsed_s,
-            r.admitted,
-            r.hash,
-        );
-        rows.push(Value::Obj(vec![
-            ("workers".into(), Value::U64(workers as u64)),
-            ("mean_s".into(), Value::F64(r.elapsed_s)),
-            ("throughput_rps".into(), Value::F64(requests as f64 / r.elapsed_s)),
-            ("speedup_vs_sequential".into(), Value::F64(base.elapsed_s / r.elapsed_s)),
-            ("identical_to_sequential".into(), Value::Bool(identical)),
-            ("record_hash".into(), Value::Str(format!("{:016x}", r.hash))),
-        ]));
-    }
-    let det_sequential_s = baseline.as_ref().map(|b| b.elapsed_s).unwrap_or(f64::NAN);
-    let relaxed = relaxed_section(&built, requests, det_sequential_s);
-    let plan_cache = plan_cache_section(&built, requests, det_sequential_s);
+    let r = run_scenario(&built, requests, 0);
+    println!(
+        "stream_parallel: scenario {SCENARIO} — {requests} requests in {:.2}s ({:.0} req/s, \
+         {} admitted, {:.0} solves/s, hash {:016x})",
+        r.elapsed_s,
+        requests as f64 / r.elapsed_s,
+        r.admitted,
+        r.solves as f64 / r.elapsed_s,
+        r.hash,
+    );
+    let mut sequential = r.rates(requests);
+    sequential.push(("record_hash".into(), Value::Str(format!("{:016x}", r.hash))));
+    let plan_cache = plan_cache_section(&built, requests, r.elapsed_s);
     Value::Obj(vec![
         ("name".into(), Value::Str(SCENARIO.into())),
         ("nodes".into(), Value::U64(built.network.num_nodes() as u64)),
@@ -337,63 +185,37 @@ fn scenario_section(quick: bool) -> Value {
         ("requests".into(), Value::U64(requests)),
         ("algorithm".into(), Value::Str("heuristic".into())),
         ("quick".into(), Value::Bool(quick)),
-        ("results".into(), Value::Arr(rows)),
-        ("relaxed".into(), relaxed),
+        ("sequential".into(), Value::Obj(sequential)),
         ("plan_cache".into(), plan_cache),
     ])
 }
 
-fn bench_stream_parallel(c: &mut Criterion) {
+fn bench_stream(c: &mut Criterion) {
     let fx = fixture();
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let baseline = run(&fx, 1);
 
-    let mut group = c.benchmark_group("stream_admission");
-    let mut results: Vec<WorkerResult> = Vec::new();
-    for &workers in &WORKER_COUNTS {
-        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
-            b.iter(|| black_box(run(&fx, w)))
-        });
-
-        let mut total = 0.0f64;
-        let mut min_s = f64::INFINITY;
-        let mut identical = true;
-        for _ in 0..RECORD_REPS {
-            let started = Instant::now();
-            let out = black_box(run(&fx, workers));
-            let elapsed = started.elapsed().as_secs_f64();
-            total += elapsed;
-            min_s = min_s.min(elapsed);
-            identical &=
-                out.records == baseline.records && out.final_residual == baseline.final_residual;
-        }
-        let mean_s = total / RECORD_REPS as f64;
-        results.push(WorkerResult {
-            workers,
-            mean_s,
-            min_s,
-            throughput_rps: REQUESTS as f64 / mean_s,
-            speedup_vs_sequential: f64::NAN, // filled once the baseline mean is known
-            identical_to_sequential: identical,
-        });
+    c.bench_function("stream_admission/sequential", |b| b.iter(|| black_box(run(&fx))));
+    let mut total = 0.0f64;
+    let mut min_s = f64::INFINITY;
+    let mut admitted = 0;
+    for _ in 0..RECORD_REPS {
+        let started = Instant::now();
+        let out = black_box(run(&fx));
+        let elapsed = started.elapsed().as_secs_f64();
+        total += elapsed;
+        min_s = min_s.min(elapsed);
+        admitted = out.admitted();
     }
-    group.finish();
-
-    let seq_mean = results[0].mean_s;
-    for r in &mut results {
-        r.speedup_vs_sequential = seq_mean / r.mean_s;
-    }
+    let mean_s = total / RECORD_REPS as f64;
+    let toy = Value::Obj(vec![
+        ("mean_s".into(), Value::F64(mean_s)),
+        ("min_s".into(), Value::F64(min_s)),
+        ("throughput_rps".into(), Value::F64(REQUESTS as f64 / mean_s)),
+        ("admitted".into(), Value::U64(admitted as u64)),
+        ("solves_per_s".into(), Value::F64(admitted as f64 / mean_s)),
+    ]);
 
     let quick = std::env::var_os("QUICK").is_some();
-    let scenario = scenario_section(quick);
-
-    let json = render_json(cores, &results, scenario);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
-    std::fs::write(path, &json).expect("write BENCH_stream.json");
-    println!("wrote {path}");
-}
-
-fn render_json(cores: usize, results: &[WorkerResult], scenario: Value) -> String {
     let report = Value::Obj(vec![
         ("benchmark".into(), Value::Str("stream_parallel".into())),
         ("cores".into(), Value::U64(cores as u64)),
@@ -401,25 +223,14 @@ fn render_json(cores: usize, results: &[WorkerResult], scenario: Value) -> Strin
         ("seed".into(), Value::U64(SEED)),
         ("algorithm".into(), Value::Str("heuristic".into())),
         ("record_reps".into(), Value::U64(RECORD_REPS as u64)),
-        // The toy rows exist for the CI dispatch-overhead gate, not as
-        // throughput evidence: 120 requests is far too small to amortize
-        // speculation + validation, so workers > 1 *should* read below 1.0x
-        // here. Scenario-scale throughput lives in `scenario.results`.
-        (
-            "results_note".into(),
-            Value::Str(
-                "overhead fixture: 120 requests cannot amortize parallel dispatch; \
-                 sub-1.0x speedups at workers > 1 are expected — see `scenario` \
-                 for throughput-scale numbers"
-                    .into(),
-            ),
-        ),
-        ("results".into(), Value::Arr(results.iter().map(WorkerResult::to_value).collect())),
-        ("scenario".into(), scenario),
+        ("results".into(), toy),
+        ("scenario".into(), scenario_section(quick)),
     ]);
     let mut json = serde_json::to_string_pretty(&report).expect("report serializes");
     json.push('\n');
-    json
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
+    std::fs::write(path, &json).expect("write BENCH_stream.json");
+    println!("wrote {path}");
 }
 
 criterion_group! {
@@ -428,6 +239,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(4));
-    targets = bench_stream_parallel
+    targets = bench_stream
 }
 criterion_main!(benches);

@@ -5,6 +5,7 @@
 //! historical full-rebuild path. This is the stream-level pin behind the
 //! record-hash equality the `stream_exp` harness reports.
 
+use mec_sfc_reliability::obs::Recorder;
 use mec_sfc_reliability::relaug::heuristic::{HeuristicConfig, MatchEngine};
 use mec_sfc_reliability::relaug::stream::{process_stream_seeded, Algorithm, StreamConfig};
 use mec_sfc_reliability::scen::{RequestStream, ScenarioSpec};
@@ -20,7 +21,15 @@ fn outcome(
         algorithm: Algorithm::Heuristic(HeuristicConfig { engine, ..Default::default() }),
         ..Default::default()
     };
-    process_stream_seeded(&built.network, &built.catalog, &reqs, &cfg, built.spec.seed)
+    process_stream_seeded(
+        &built.network,
+        &built.catalog,
+        &reqs,
+        &cfg,
+        built.spec.seed,
+        &mut Recorder::noop(),
+    )
+    .0
 }
 
 #[test]
@@ -56,7 +65,14 @@ fn warm_engine_stream_stays_feasible_on_zoo_scenarios() {
         }),
         ..Default::default()
     };
-    let out = process_stream_seeded(&built.network, &built.catalog, &reqs, &cfg, built.spec.seed);
+    let (out, _) = process_stream_seeded(
+        &built.network,
+        &built.catalog,
+        &reqs,
+        &cfg,
+        built.spec.seed,
+        &mut Recorder::noop(),
+    );
     assert_eq!(out.records.len(), reqs.len());
     let initial = built.network.residual_capacities(1.0);
     for (v, (&res, &init)) in out.final_residual.iter().zip(&initial).enumerate() {
