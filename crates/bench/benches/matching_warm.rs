@@ -1,32 +1,37 @@
-//! Matching-plane microbenchmark: incremental engine vs. historical rebuild.
+//! Matching-plane microbenchmark: the heuristic's function-level greedy
+//! ([`matching::LadderMatcher`]) against the item-level min-cost-flow
+//! reference ([`matching::min_cost_max_matching_into`] on the expanded edge
+//! list, which is what every round used to solve).
 //!
-//! Times [`relaug::heuristic::solve_in`] over fixed instance sets under the
-//! three `MatchEngine` configurations — `Rebuild` (cold full rebuild every
-//! round), `Incremental` (dominance-pruned ladders, trajectory-exact) and
-//! `IncrementalWarm` (cross-round price carry) — after byte-verifying the
-//! incremental engine against the rebuild reference on every instance. Writes
-//! `BENCH_matching.json` at the workspace root (the CI artifact) and exits
-//! non-zero if the incremental engine's speedup over the rebuild path falls
-//! below the gate on any family — CI runs this in `QUICK=1` mode as the
-//! `matching-smoke` regression gate.
+//! Every round the heuristic solves over fixed instance families is captured
+//! through [`relaug::heuristic::solve_rounds`], verified against the
+//! reference (equal cardinality, equal cost within 1e-9 relative, identical
+//! per-function counts whenever the round's costs are distinct), then both
+//! solvers are timed over the captured rounds. Writes `BENCH_matching.json`
+//! at the workspace root (the CI artifact) and exits non-zero if any round
+//! disagrees or the greedy's speedup over the reference falls below the gate
+//! on any family — CI runs this in `QUICK=1` mode as the `matching-smoke`
+//! regression gate.
 //!
 //! Like `solve_alloc`, this is a plain `harness = false` main: the loop being
 //! measured is µs-scale and hand-timing over a fixed pass count is both
 //! simpler and less noisy than criterion's adaptive sampling here.
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use matching::{min_cost_max_matching_into, LadderMatcher, LadderRound, Matching, MatchingScratch};
 use mecnet::workload::{generate_scenario, WorkloadConfig};
 use obs::Recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use relaug::heuristic::{self, HeuristicConfig, MatchEngine};
+use relaug::heuristic::{self, HeuristicConfig};
 use relaug::instance::AugmentationInstance;
 use relaug::SolveScratch;
 use serde::Value;
 
 const SEED: u64 = 42;
-/// Minimum incremental-vs-rebuild speedup the smoke gate accepts.
+/// Minimum greedy-vs-reference speedup the smoke gate accepts.
 const GATE_SPEEDUP: f64 = 1.3;
 
 struct Family {
@@ -35,11 +40,25 @@ struct Family {
     passes: usize,
 }
 
-struct ModeResult {
-    mode: &'static str,
-    total_s: f64,
-    us_per_solve: f64,
-    rounds: usize,
+/// An owned copy of one captured round.
+struct Round {
+    costs: Vec<f64>,
+    cost_start: Vec<usize>,
+    bins: Vec<usize>,
+    bin_start: Vec<usize>,
+    bin_cap: Vec<usize>,
+}
+
+impl Round {
+    fn view(&self) -> LadderRound<'_> {
+        LadderRound {
+            costs: &self.costs,
+            cost_start: &self.cost_start,
+            bins: &self.bins,
+            bin_start: &self.bin_start,
+            bin_cap: &self.bin_cap,
+        }
+    }
 }
 
 fn build_families(quick: bool) -> Vec<Family> {
@@ -53,8 +72,7 @@ fn build_families(quick: bool) -> Vec<Family> {
     let mut families = vec![Family { name: "toy", instances: toy, passes: toy_passes }];
     if !quick {
         // Wider substrate: more cloudlets per round and a stricter target, so
-        // the bipartite graphs are larger and rounds more numerous — the
-        // regime the incremental engine exists for.
+        // the round graphs are larger and rounds more numerous.
         let wide_wl =
             WorkloadConfig { nodes: 400, expectation: 0.99999, ..WorkloadConfig::default() };
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x9E3779B9);
@@ -66,74 +84,70 @@ fn build_families(quick: bool) -> Vec<Family> {
     families
 }
 
-fn config_for(mode: &str) -> HeuristicConfig {
-    let engine = match mode {
-        "rebuild" => MatchEngine::Rebuild,
-        "incremental" => MatchEngine::Incremental,
-        "warm" => MatchEngine::IncrementalWarm,
-        other => unreachable!("unknown mode {other}"),
-    };
-    HeuristicConfig { engine, ..Default::default() }
+/// Every round the heuristic solves on the family, in solve order.
+fn capture_rounds(family: &Family) -> Vec<Round> {
+    let mut rounds = Vec::new();
+    let mut scratch = SolveScratch::new();
+    let cfg = HeuristicConfig::default();
+    for inst in &family.instances {
+        heuristic::solve_rounds(inst, &cfg, &mut Recorder::noop(), &mut scratch, |r, _| {
+            rounds.push(Round {
+                costs: r.costs.to_vec(),
+                cost_start: r.cost_start.to_vec(),
+                bins: r.bins.to_vec(),
+                bin_start: r.bin_start.to_vec(),
+                bin_cap: r.bin_cap.to_vec(),
+            })
+        });
+    }
+    rounds
 }
 
-fn time_mode(family: &Family, mode: &'static str) -> ModeResult {
-    let cfg = config_for(mode);
-    let mut rec = Recorder::noop();
-    let mut scratch = SolveScratch::new();
-    // Warm-up pass: grow scratch buffers to their high-water mark.
-    for inst in &family.instances {
-        heuristic::solve_in(inst, &cfg, &mut rec, &mut scratch);
-    }
-    let mut rounds = 0usize;
-    let started = Instant::now();
-    for _ in 0..family.passes {
-        for inst in &family.instances {
-            rounds += heuristic::solve_in(inst, &cfg, &mut rec, &mut scratch);
+/// Solve `round` with the reference into `out` (edges rebuilt every call,
+/// as the heuristic used to).
+fn reference(
+    round: &LadderRound<'_>,
+    edges: &mut Vec<(usize, usize, f64)>,
+    scratch: &mut MatchingScratch,
+    out: &mut Matching,
+) {
+    round.item_edges(edges);
+    min_cost_max_matching_into(scratch, round.bin_cap.len(), round.costs.len(), edges, out);
+}
+
+/// Verify the greedy against the reference on every round; returns the
+/// number of rounds with tied costs (per-function counts not compared).
+fn verify(family: &Family, rounds: &[Round]) -> Result<usize, String> {
+    let mut matcher = LadderMatcher::new();
+    let (mut edges, mut scratch) = (Vec::new(), MatchingScratch::new());
+    let mut out = Matching { pairs: Vec::new(), cost: 0.0 };
+    let mut tied = 0usize;
+    for (n, round) in rounds.iter().enumerate() {
+        let r = round.view();
+        matcher.solve(&r);
+        reference(&r, &mut edges, &mut scratch, &mut out);
+        let fail = |what: &str| format!("{}: round {n}: {what}", family.name);
+        if matcher.cardinality() != out.cardinality() {
+            return Err(fail("cardinality differs"));
+        }
+        if (matcher.cost() - out.cost).abs() > 1e-9 * out.cost.abs().max(1.0) {
+            return Err(fail(&format!("cost {} vs {}", matcher.cost(), out.cost)));
+        }
+        let mut sorted = round.costs.clone();
+        sorted.sort_by(f64::total_cmp);
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            tied += 1;
+            continue;
+        }
+        let mut counts = vec![0usize; r.functions()];
+        for &(_, item) in &out.pairs {
+            counts[round.cost_start.partition_point(|&s| s <= item) - 1] += 1;
+        }
+        if counts != matcher.matched() {
+            return Err(fail("per-function counts differ"));
         }
     }
-    let total_s = started.elapsed().as_secs_f64();
-    let solves = (family.passes * family.instances.len()) as f64;
-    ModeResult { mode, total_s, us_per_solve: total_s * 1e6 / solves, rounds }
-}
-
-/// Byte-verify: the incremental engine must reproduce the rebuild reference
-/// exactly on every instance of the family.
-fn verify_identity(family: &Family) -> bool {
-    let mut rec = Recorder::noop();
-    let mut s_inc = SolveScratch::new();
-    let mut s_reb = SolveScratch::new();
-    for (i, inst) in family.instances.iter().enumerate() {
-        let r_inc = heuristic::solve_in(inst, &config_for("incremental"), &mut rec, &mut s_inc);
-        let a_inc = s_inc.sol.materialize();
-        let r_reb = heuristic::solve_in(inst, &config_for("rebuild"), &mut rec, &mut s_reb);
-        let a_reb = s_reb.sol.materialize();
-        if r_inc != r_reb || a_inc != a_reb {
-            eprintln!(
-                "matching_warm[{}]: instance {i} diverges (rounds {r_inc} vs {r_reb})",
-                family.name
-            );
-            return false;
-        }
-    }
-    true
-}
-
-/// Untimed telemetry pass: pruning and fallback rates of the incremental
-/// engine over the family (reported, never silent).
-fn matching_stats(family: &Family) -> (u64, u64, u64, u64, f64) {
-    let mut rec = Recorder::memory();
-    let mut scratch = SolveScratch::new();
-    let cfg = config_for("incremental");
-    for inst in &family.instances {
-        heuristic::solve_in(inst, &cfg, &mut rec, &mut scratch);
-    }
-    let s = rec.summary();
-    let engine = s.counter("matching.rounds.engine");
-    let fallback = s.counter("matching.rounds.fallback");
-    let full = s.counter("matching.edges.full");
-    let live = s.counter("matching.edges.materialized");
-    let pruned_pct = if full > 0 { 100.0 * (1.0 - live as f64 / full as f64) } else { 0.0 };
-    (engine, fallback, full, live, pruned_pct)
+    Ok(tied)
 }
 
 fn main() {
@@ -143,71 +157,106 @@ fn main() {
     let mut gate_failed = false;
 
     for family in &families {
-        let identical = verify_identity(family);
-        if !identical {
-            gate_failed = true;
-        }
-        let (engine_rounds, fallback_rounds, edges_full, edges_live, pruned_pct) =
-            matching_stats(family);
-        let modes: Vec<ModeResult> =
-            ["rebuild", "incremental", "warm"].into_iter().map(|m| time_mode(family, m)).collect();
-        let rebuild_s = modes[0].total_s;
-        let speedup_inc = rebuild_s / modes[1].total_s;
-        let speedup_warm = rebuild_s / modes[2].total_s;
+        let rounds = capture_rounds(family);
+        let verified = match verify(family, &rounds) {
+            Ok(tied) => {
+                println!(
+                    "matching_warm[{}]: {} rounds verified against the reference \
+                     ({tied} with tied costs: cardinality and cost only)",
+                    family.name,
+                    rounds.len()
+                );
+                true
+            }
+            Err(e) => {
+                eprintln!("matching_warm: {e}");
+                false
+            }
+        };
+        gate_failed |= !verified;
+        let items: usize = rounds.iter().map(|r| r.costs.len()).sum();
+        let arcs: usize = rounds.iter().map(|r| r.bins.len()).sum();
+        let item_edges: usize = rounds
+            .iter()
+            .map(|r| {
+                let v = r.view();
+                (0..v.functions()).map(|p| v.ladder(p).len() * v.usable(p).len()).sum::<usize>()
+            })
+            .sum();
 
+        // Warm both solvers' buffers, then time the same rounds.
+        let mut matcher = LadderMatcher::new();
+        let (mut edges, mut scratch) = (Vec::new(), MatchingScratch::new());
+        let mut out = Matching { pairs: Vec::new(), cost: 0.0 };
+        for round in &rounds {
+            matcher.solve(&round.view());
+            reference(&round.view(), &mut edges, &mut scratch, &mut out);
+        }
+        let started = Instant::now();
+        for _ in 0..family.passes {
+            for round in &rounds {
+                matcher.solve(black_box(&round.view()));
+                black_box(matcher.cardinality());
+            }
+        }
+        let greedy_s = started.elapsed().as_secs_f64();
+        let started = Instant::now();
+        for _ in 0..family.passes {
+            for round in &rounds {
+                reference(black_box(&round.view()), &mut edges, &mut scratch, &mut out);
+                black_box(out.cardinality());
+            }
+        }
+        let reference_s = started.elapsed().as_secs_f64();
+
+        // The whole heuristic solve on the greedy, for scale.
+        let cfg = HeuristicConfig::default();
+        let mut solve_scratch = SolveScratch::new();
+        let started = Instant::now();
+        for _ in 0..family.passes {
+            for inst in &family.instances {
+                heuristic::solve_in(inst, &cfg, &mut Recorder::noop(), &mut solve_scratch);
+            }
+        }
+        let solves = (family.passes * family.instances.len()) as f64;
+        let solve_us = started.elapsed().as_secs_f64() * 1e6 / solves;
+
+        let timed = (family.passes * rounds.len()) as f64;
+        let speedup = reference_s / greedy_s;
+        let gate_ok = speedup >= GATE_SPEEDUP;
+        gate_failed |= !gate_ok;
         println!(
-            "matching_warm[{}]: {} instances x {} passes",
+            "matching_warm[{}]: {} instances, {} rounds x {} passes; {items} items, \
+             {arcs} (function, bin) arcs, {item_edges} item-level edges",
             family.name,
             family.instances.len(),
+            rounds.len(),
             family.passes
         );
-        for m in &modes {
-            println!(
-                "matching_warm[{}]: {:<11} {:>8.2} us/solve ({} rounds/pass-set)",
-                family.name, m.mode, m.us_per_solve, m.rounds
-            );
-        }
         println!(
-            "matching_warm[{}]: engine rounds {engine_rounds}, fallback {fallback_rounds}, \
-             edges {edges_full} -> {edges_live} ({pruned_pct:.1}% pruned)",
-            family.name
-        );
-        let gate_ok = speedup_inc >= GATE_SPEEDUP;
-        println!(
-            "matching_warm[{}]: incremental {speedup_inc:.2}x vs rebuild \
-             (warm {speedup_warm:.2}x); identity {}; gate >= {GATE_SPEEDUP:.2}x: {}",
+            "matching_warm[{}]: greedy {:.2} us/round, reference {:.2} us/round: \
+             {speedup:.2}x (gate >= {GATE_SPEEDUP:.2}x: {}); heuristic solve {solve_us:.2} us",
             family.name,
-            if identical { "OK" } else { "FAILED" },
+            greedy_s * 1e6 / timed,
+            reference_s * 1e6 / timed,
             if gate_ok { "OK" } else { "FAILED" },
         );
-        if !gate_ok {
-            gate_failed = true;
-        }
 
-        let mode_values: Vec<Value> = modes
-            .iter()
-            .map(|m| {
-                Value::Obj(vec![
-                    ("mode".into(), Value::Str(m.mode.into())),
-                    ("total_s".into(), Value::F64(m.total_s)),
-                    ("us_per_solve".into(), Value::F64(m.us_per_solve)),
-                    ("rounds".into(), Value::U64(m.rounds as u64)),
-                ])
-            })
-            .collect();
         family_values.push(Value::Obj(vec![
             ("name".into(), Value::Str(family.name.into())),
             ("instances".into(), Value::U64(family.instances.len() as u64)),
             ("passes".into(), Value::U64(family.passes as u64)),
-            ("modes".into(), Value::Arr(mode_values)),
-            ("speedup_incremental_vs_rebuild".into(), Value::F64(speedup_inc)),
-            ("speedup_warm_vs_rebuild".into(), Value::F64(speedup_warm)),
-            ("identical_incremental_vs_rebuild".into(), Value::Bool(identical)),
-            ("engine_rounds".into(), Value::U64(engine_rounds)),
-            ("fallback_rounds".into(), Value::U64(fallback_rounds)),
-            ("edges_full".into(), Value::U64(edges_full)),
-            ("edges_materialized".into(), Value::U64(edges_live)),
-            ("pruned_pct".into(), Value::F64(pruned_pct)),
+            ("rounds".into(), Value::U64(rounds.len() as u64)),
+            ("items".into(), Value::U64(items as u64)),
+            ("arcs".into(), Value::U64(arcs as u64)),
+            ("item_edges".into(), Value::U64(item_edges as u64)),
+            ("verified".into(), Value::Bool(verified)),
+            ("greedy_s".into(), Value::F64(greedy_s)),
+            ("reference_s".into(), Value::F64(reference_s)),
+            ("greedy_us_per_round".into(), Value::F64(greedy_s * 1e6 / timed)),
+            ("reference_us_per_round".into(), Value::F64(reference_s * 1e6 / timed)),
+            ("speedup_greedy_vs_reference".into(), Value::F64(speedup)),
+            ("heuristic_us_per_solve".into(), Value::F64(solve_us)),
         ]));
     }
 
@@ -225,7 +274,7 @@ fn main() {
     println!("matching_warm: wrote {path}");
 
     if gate_failed {
-        eprintln!("matching_warm: FAIL — identity or speedup gate violated");
+        eprintln!("matching_warm: FAIL — verification or speedup gate violated");
         std::process::exit(1);
     }
     println!("matching_warm: OK");

@@ -65,15 +65,11 @@ fn main() {
         })
         .collect();
 
-    // Every solver configuration shares the zero-alloc contract: the
-    // incremental engine (default), the historical rebuild path, and the
-    // batch_rounds b-matching ablation.
-    let configs: [(&str, HeuristicConfig); 3] = [
-        ("incremental", HeuristicConfig::default()),
-        (
-            "rebuild",
-            HeuristicConfig { engine: heuristic::MatchEngine::Rebuild, ..Default::default() },
-        ),
+    // Both round shapes share the zero-alloc contract: the paper's unit
+    // rounds and the batch_rounds ablation (capacitated bins), which run
+    // through the same function-level matcher.
+    let configs: [(&str, HeuristicConfig); 2] = [
+        ("unit", HeuristicConfig::default()),
         ("batch", HeuristicConfig { batch_rounds: true, ..Default::default() }),
     ];
 

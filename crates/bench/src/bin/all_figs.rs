@@ -4,10 +4,12 @@
 //! Usage: `cargo run -p bench-harness --release --bin all_figs -- [--trials N]
 //! [--seed S] [--threads T] [--json PATH] [--greedy] [--no-ilp]`
 
-use bench_harness::{render_figure, run_point, sweeps, to_json, HarnessArgs, PointResult};
+use bench_harness::{
+    render_figure, run_point, sweeps, to_json, HarnessArgs, PointResult, FIGURE_FLAGS,
+};
 
 fn main() {
-    let args = match HarnessArgs::parse(std::env::args().skip(1)) {
+    let args = match HarnessArgs::parse(std::env::args().skip(1), FIGURE_FLAGS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("all_figs: {e}");

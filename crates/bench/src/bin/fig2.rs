@@ -6,10 +6,10 @@
 //! Usage: `cargo run -p bench-harness --release --bin fig2 -- [--trials N]
 //! [--seed S] [--threads T] [--json PATH] [--greedy] [--no-ilp]`
 
-use bench_harness::{render_figure, run_point, sweeps, to_json, HarnessArgs};
+use bench_harness::{render_figure, run_point, sweeps, to_json, HarnessArgs, FIGURE_FLAGS};
 
 fn main() {
-    let args = match HarnessArgs::parse(std::env::args().skip(1)) {
+    let args = match HarnessArgs::parse(std::env::args().skip(1), FIGURE_FLAGS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("fig2: {e}");

@@ -9,7 +9,7 @@
 //! `--trace PATH` records the first trial of every `l` as JSONL solver
 //! events (one file for the whole sweep; filter on the `l` field).
 
-use bench_harness::HarnessArgs;
+use bench_harness::{HarnessArgs, LHOP_EXP_FLAGS};
 use expkit::stats::Accumulator;
 use expkit::Table;
 use mecnet::workload::{generate_scenario, WorkloadConfig};
@@ -20,7 +20,7 @@ use relaug::instance::AugmentationInstance;
 use relaug::{heuristic, ilp, randomized};
 
 fn main() {
-    let args = match HarnessArgs::parse(std::env::args().skip(1)) {
+    let args = match HarnessArgs::parse(std::env::args().skip(1), LHOP_EXP_FLAGS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("lhop_exp: {e}");

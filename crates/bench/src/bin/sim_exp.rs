@@ -6,7 +6,10 @@
 //! Usage: `cargo run -p bench-harness --release --bin sim_exp --
 //! [--policy none|reactive|audit] [--duration T] [--seed S]
 //! [--audit-interval T] [--trace PATH] [--json PATH] [--workers W]
-//! [--metrics-interval N|Xs] [--flight DIR]`
+//! [--metrics-interval N|Xs] [--flight DIR] [--scenario NAME|PATH]
+//! [--requests N]`. Any other flag exits 2 naming it (`--plan-cache` is a
+//! `stream_exp` feature: departures release capacity, which the cache's
+//! monotone-residual watermark does not model).
 //!
 //! `--metrics-interval` switches each run to windowed telemetry: per-event
 //! `sim.*` emission is suppressed in favour of one `sim.window` summary per
@@ -38,7 +41,7 @@
 //! O(stream). `--requests N` caps the stream; the simulated `--duration`
 //! bounds the run either way.
 
-use bench_harness::HarnessArgs;
+use bench_harness::{HarnessArgs, SIM_EXP_FLAGS};
 use expkit::Table;
 use mecnet::request::SfcRequest;
 use mecnet::vnf::VnfCatalog;
@@ -88,22 +91,13 @@ impl RequestSource for ScenarioSource {
 }
 
 fn main() {
-    let args = match HarnessArgs::parse(std::env::args().skip(1)) {
+    let args = match HarnessArgs::parse(std::env::args().skip(1), SIM_EXP_FLAGS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("sim_exp: {e}");
             std::process::exit(2);
         }
     };
-    if args.plan_cache > 0 {
-        println!(
-            "note: --plan-cache {} ignored — the failure/recovery simulator \
-             releases capacity on departures, which breaks the cache's \
-             monotone-residual watermark and epoch invalidation; the plan \
-             cache is a stream_exp (admission-only) feature\n",
-            args.plan_cache
-        );
-    }
     let audit_interval = args.audit_interval.unwrap_or(5.0);
     let policy_names: Vec<String> = match &args.policy {
         Some(name) => vec![name.clone()],

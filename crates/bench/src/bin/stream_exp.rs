@@ -7,8 +7,8 @@
 //! Usage: `cargo run -p bench-harness --release --bin stream_exp --
 //! [--trials N] [--seed S] [--requests R] [--trace PATH]
 //! [--metrics-interval N|Xs] [--flight DIR] [--scenario NAME|PATH]
-//! [--plan-cache N] [--match-engine NAME]` (trials = independent
-//! network/stream pairs). The stream pipeline is sequential: `--workers`
+//! [--plan-cache N]` (trials = independent network/stream pairs); any other
+//! flag exits 2 naming it. The stream pipeline is sequential: `--workers`
 //! above 1 is rejected (it applies to `sim_exp`, whose per-policy runs are
 //! independent).
 //!
@@ -32,9 +32,8 @@
 //! deterministically from the spec seed. In both modes requests are
 //! generated lazily and folded into bounded [`StreamStats`] as records are
 //! committed, so the records themselves cost O(1) memory regardless of
-//! `--requests` (an untraced full-mode run still keeps the first stream's
-//! events in memory; `--metrics-interval` bounds them); the run footer
-//! reports the process peak RSS.
+//! `--requests`, and an untraced run keeps only counters (no events); the
+//! run footer reports the process peak RSS.
 //!
 //! `--metrics-interval` switches the observed (first) stream of each
 //! algorithm to windowed telemetry: per-request events are suppressed and
@@ -60,7 +59,9 @@
 
 use std::time::Instant;
 
-use bench_harness::{fold_record_hash, HarnessArgs, StreamStats, RECORD_HASH_SEED};
+use bench_harness::{
+    fold_record_hash, HarnessArgs, StreamStats, RECORD_HASH_SEED, STREAM_EXP_FLAGS,
+};
 use expkit::stats::Accumulator;
 use expkit::Table;
 use mecnet::network::MecNetwork;
@@ -162,11 +163,7 @@ fn plan_cache_table(observations: &[(&str, StreamObservation)]) -> Option<Table>
 /// dropped — loudly, never silently.
 const ILP_REQUEST_CAP: usize = 50_000;
 
-fn algorithm_set(
-    scenario: bool,
-    requests: usize,
-    match_engine: relaug::heuristic::MatchEngine,
-) -> Vec<(&'static str, Algorithm)> {
+fn algorithm_set(scenario: bool, requests: usize) -> Vec<(&'static str, Algorithm)> {
     let mut set: Vec<(&str, Algorithm)> = Vec::new();
     if !scenario || requests <= ILP_REQUEST_CAP {
         set.push(("ILP", Algorithm::Ilp(Default::default())));
@@ -177,19 +174,13 @@ fn algorithm_set(
              (> {ILP_REQUEST_CAP}); pass --requests {ILP_REQUEST_CAP} or less to include them\n"
         );
     }
-    set.push((
-        "Heuristic",
-        Algorithm::Heuristic(relaug::heuristic::HeuristicConfig {
-            engine: match_engine,
-            ..Default::default()
-        }),
-    ));
+    set.push(("Heuristic", Algorithm::Heuristic(Default::default())));
     set.push(("Greedy", Algorithm::Greedy(Default::default())));
     set
 }
 
 fn main() {
-    let args = match HarnessArgs::parse(std::env::args().skip(1)) {
+    let args = match HarnessArgs::parse(std::env::args().skip(1), STREAM_EXP_FLAGS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("stream_exp: {e}");
@@ -244,27 +235,17 @@ fn main() {
             args.plan_cache
         );
     }
-    match args.match_engine {
-        relaug::heuristic::MatchEngine::Incremental => {}
-        relaug::heuristic::MatchEngine::IncrementalWarm => println!(
-            "match engine: warm (cross-round price carry; cost parity only — \
-             record hashes are not comparable to the deterministic engines)\n"
-        ),
-        relaug::heuristic::MatchEngine::Rebuild => {
-            println!("match engine: rebuild (historical per-round full rebuild)\n")
-        }
-    }
-
     // Telemetry sink: the first stream of each algorithm runs traced — into
-    // the JSONL file when `--trace` is given, into memory otherwise — so the
-    // end-of-run summary table always has data. Remaining trials run with the
-    // no-op recorder (zero overhead).
+    // the JSONL file when `--trace` is given, into a counters-only recorder
+    // otherwise (event count and solver counters, no per-event memory) — so
+    // the end-of-run summary table always has data. Remaining trials run
+    // with the no-op recorder (zero overhead).
     let mut rec = match &args.trace {
         Some(path) => Recorder::jsonl_file(std::path::Path::new(path)).unwrap_or_else(|e| {
             eprintln!("stream_exp: cannot open trace file {path}: {e}");
             std::process::exit(2);
         }),
-        None => Recorder::memory(),
+        None => Recorder::counters_only(),
     };
 
     // Fault injection for the flight-recorder smoke: panic (after dumping
@@ -279,7 +260,7 @@ fn main() {
     // Pipeline metrics of each algorithm's first (observed) stream.
     let mut observations: Vec<(&str, StreamObservation)> = Vec::new();
 
-    let algorithms = algorithm_set(scenario.is_some(), requests_per_stream, args.match_engine);
+    let algorithms = algorithm_set(scenario.is_some(), requests_per_stream);
     let mut columns =
         vec!["algorithm", "admitted", "mean rel.", "SLO met", "early rel.", "late rel.", "req/s"];
     if scenario.is_some() {
@@ -299,17 +280,8 @@ fn main() {
     ]);
     // Matching-plane counters (first stream per algorithm; only the
     // heuristic's matching rounds populate them).
-    let mut matchplane = Table::new(vec![
-        "algorithm",
-        "engine rounds",
-        "fallback",
-        "rebuild",
-        "warm",
-        "edges full",
-        "edges live",
-        "pruned",
-        "passes",
-    ]);
+    let mut matchplane =
+        Table::new(vec!["algorithm", "rounds", "(function, bin) arcs", "augmenting searches"]);
     let mut matchplane_lines: Vec<String> = Vec::new();
     for (name, algorithm) in algorithms {
         let mut admitted = Accumulator::new();
@@ -421,32 +393,18 @@ fn main() {
             pct(0.99),
         ]);
         let delta = |key: &str| now.counter(key) - effort_base.counter(key);
-        let (m_engine, m_fallback, m_rebuild, m_warm) = (
-            delta("matching.rounds.engine"),
-            delta("matching.rounds.fallback"),
-            delta("matching.rounds.rebuild"),
-            delta("matching.warm_rounds"),
-        );
-        if m_engine + m_fallback + m_rebuild > 0 {
-            let (full, live) = (delta("matching.edges.full"), delta("matching.edges.materialized"));
-            let pruned = if full > 0 { 100.0 * (1.0 - live as f64 / full as f64) } else { 0.0 };
+        let rounds = delta("matching.rounds.engine");
+        if rounds > 0 {
+            let (arcs, searches) = (delta("matching.edges.materialized"), delta("matching.passes"));
             matchplane.add_row(vec![
                 name.to_string(),
-                format!("{m_engine}"),
-                format!("{m_fallback}"),
-                format!("{m_rebuild}"),
-                format!("{m_warm}"),
-                format!("{full}"),
-                format!("{live}"),
-                format!("{pruned:.1}%"),
-                format!("{}", delta("matching.passes")),
+                format!("{rounds}"),
+                format!("{arcs}"),
+                format!("{searches}"),
             ]);
-            // One parseable line per algorithm — the prune-fallback rate is
-            // part of the run's contract, never silent.
+            // One parseable line per algorithm.
             matchplane_lines.push(format!(
-                "{name} matching plane: engine {m_engine} / fallback {m_fallback} / \
-                 rebuild {m_rebuild} rounds, warm {m_warm}, edges {full} -> {live} \
-                 ({pruned:.1}% pruned)",
+                "{name} matching plane: rounds {rounds}, arcs {arcs}, searches {searches}"
             ));
         }
     }

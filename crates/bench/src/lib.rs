@@ -388,11 +388,42 @@ pub fn render_figure(points: &[PointResult]) -> String {
     out
 }
 
-/// Tiny CLI-flag parser shared by the figure binaries:
-/// `--trials N --seed S --threads T --workers W --json PATH
-/// --greedy --no-ilp --trace PATH --requests N --policy NAME --duration T
-/// --audit-interval T --metrics-interval N|Xs --flight DIR
-/// --scenario NAME|PATH --plan-cache N --match-engine NAME`.
+/// Flags of the figure binaries (`fig1`..`fig3`, `all_figs`).
+pub const FIGURE_FLAGS: &[&str] =
+    &["--trials", "--seed", "--threads", "--json", "--greedy", "--no-ilp"];
+/// Flags of `lhop_exp`.
+pub const LHOP_EXP_FLAGS: &[&str] = &["--trials", "--seed", "--no-ilp", "--trace"];
+/// Flags of `stream_exp` (`--workers` is accepted only to reject values
+/// above 1 with a pointer to `sim_exp`).
+pub const STREAM_EXP_FLAGS: &[&str] = &[
+    "--trials",
+    "--seed",
+    "--requests",
+    "--trace",
+    "--metrics-interval",
+    "--flight",
+    "--scenario",
+    "--plan-cache",
+    "--workers",
+];
+/// Flags of `sim_exp`.
+pub const SIM_EXP_FLAGS: &[&str] = &[
+    "--policy",
+    "--duration",
+    "--seed",
+    "--audit-interval",
+    "--trace",
+    "--json",
+    "--workers",
+    "--metrics-interval",
+    "--flight",
+    "--scenario",
+    "--requests",
+];
+
+/// Tiny CLI-flag parser shared by the harness binaries. Each binary passes
+/// the flags it accepts (one of the `*_FLAGS` lists above); any other flag
+/// is an error naming it, so no binary silently ignores another's options.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     pub trials: usize,
@@ -426,15 +457,10 @@ pub struct HarnessArgs {
     /// the network, catalog and lazy request stream from `scen` instead of
     /// the toy workload fixture.
     pub scenario: Option<String>,
-    /// Admission plan-cache capacity in entries (`stream_exp`; `sim_exp`
-    /// parses but ignores it). `0` (default) disables the cache and keeps
-    /// the byte-identity guarantees untouched.
+    /// Admission plan-cache capacity in entries (`stream_exp`). `0`
+    /// (default) disables the cache and keeps the byte-identity guarantees
+    /// untouched.
     pub plan_cache: usize,
-    /// Matching engine for the heuristic (`stream_exp`): `incremental`
-    /// (default, byte-identical to rebuild), `warm` (cross-round price
-    /// carry, cost-parity only) or `rebuild` (the historical per-round
-    /// rebuild path).
-    pub match_engine: relaug::heuristic::MatchEngine,
 }
 
 impl Default for HarnessArgs {
@@ -456,16 +482,21 @@ impl Default for HarnessArgs {
             flight: None,
             scenario: None,
             plan_cache: 0,
-            match_engine: relaug::heuristic::MatchEngine::default(),
         }
     }
 }
 
 impl HarnessArgs {
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<HarnessArgs, String> {
+    pub fn parse(
+        args: impl Iterator<Item = String>,
+        accepted: &[&str],
+    ) -> Result<HarnessArgs, String> {
         let mut out = HarnessArgs::default();
         let mut it = args;
         while let Some(flag) = it.next() {
+            if !accepted.contains(&flag.as_str()) {
+                return Err(format!("unsupported flag {flag} (accepted: {})", accepted.join(" ")));
+            }
             let mut value =
                 |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
             match flag.as_str() {
@@ -507,18 +538,6 @@ impl HarnessArgs {
                 "--scenario" => out.scenario = Some(value("--scenario")?),
                 "--plan-cache" => {
                     out.plan_cache = value("--plan-cache")?.parse().map_err(|e| format!("{e}"))?
-                }
-                "--match-engine" => {
-                    out.match_engine = match value("--match-engine")?.as_str() {
-                        "incremental" => relaug::heuristic::MatchEngine::Incremental,
-                        "warm" => relaug::heuristic::MatchEngine::IncrementalWarm,
-                        "rebuild" => relaug::heuristic::MatchEngine::Rebuild,
-                        other => {
-                            return Err(format!(
-                                "--match-engine must be incremental, warm or rebuild, got {other}"
-                            ))
-                        }
-                    }
                 }
                 other => return Err(format!("unknown flag {other}")),
             }
@@ -733,95 +752,139 @@ mod tests {
         assert!(md.contains("(c) running time"));
     }
 
+    fn parse(accepted: &[&str], args: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse(args.iter().map(|s| s.to_string()), accepted)
+    }
+
     #[test]
     fn args_parse_round_trip() {
-        let args = HarnessArgs::parse(
-            [
-                "--trials",
-                "7",
-                "--seed",
-                "9",
-                "--greedy",
-                "--no-ilp",
-                "--trace",
-                "t.jsonl",
-                "--requests",
-                "200",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
+        let args = parse(
+            FIGURE_FLAGS,
+            &["--trials", "7", "--seed", "9", "--greedy", "--no-ilp", "--threads", "3"],
         )
         .unwrap();
         assert_eq!(args.trials, 7);
         assert_eq!(args.seed, 9);
         assert!(args.greedy);
         assert!(!args.ilp);
-        assert_eq!(args.trace.as_deref(), Some("t.jsonl"));
-        assert_eq!(args.requests, Some(200));
-        let workers = HarnessArgs::parse(["--workers", "4"].iter().map(|s| s.to_string())).unwrap();
+        assert_eq!(args.threads, 3);
+        let stream = parse(STREAM_EXP_FLAGS, &["--trace", "t.jsonl", "--requests", "200"]).unwrap();
+        assert_eq!(stream.trace.as_deref(), Some("t.jsonl"));
+        assert_eq!(stream.requests, Some(200));
+        let workers = parse(SIM_EXP_FLAGS, &["--workers", "4"]).unwrap();
         assert_eq!(workers.workers, 4);
-        assert!(HarnessArgs::parse(["--batch", "3"].iter().map(|s| s.to_string())).is_err());
-        assert!(HarnessArgs::parse(["--commit-order", "relaxed"].iter().map(|s| s.to_string()))
-            .is_err());
-        assert!(HarnessArgs::parse(["--shards", "2"].iter().map(|s| s.to_string())).is_err());
-        let auto = HarnessArgs::parse(["--workers", "auto"].iter().map(|s| s.to_string())).unwrap();
+        for gone in [&["--batch", "3"][..], &["--commit-order", "relaxed"], &["--shards", "2"]] {
+            assert!(parse(STREAM_EXP_FLAGS, gone).is_err());
+        }
+        let auto = parse(SIM_EXP_FLAGS, &["--workers", "auto"]).unwrap();
         assert_eq!(auto.workers, auto_workers());
         assert!(auto.workers >= 1);
-        assert!(HarnessArgs::parse(["--workers".to_string(), "0".to_string()].into_iter()).is_err());
-        assert!(
-            HarnessArgs::parse(["--workers".to_string(), "many".to_string()].into_iter()).is_err()
-        );
-        let sim_args = HarnessArgs::parse(
-            ["--policy", "reactive", "--duration", "750.5", "--audit-interval", "4"]
-                .iter()
-                .map(|s| s.to_string()),
+        assert!(parse(SIM_EXP_FLAGS, &["--workers", "0"]).is_err());
+        assert!(parse(SIM_EXP_FLAGS, &["--workers", "many"]).is_err());
+        let sim_args = parse(
+            SIM_EXP_FLAGS,
+            &["--policy", "reactive", "--duration", "750.5", "--audit-interval", "4"],
         )
         .unwrap();
         assert_eq!(sim_args.policy.as_deref(), Some("reactive"));
         assert_eq!(sim_args.duration, Some(750.5));
         assert_eq!(sim_args.audit_interval, Some(4.0));
-        let obs_args = HarnessArgs::parse(
-            ["--metrics-interval", "10000", "--flight", "out/flight"].iter().map(|s| s.to_string()),
-        )
-        .unwrap();
+        let obs_args =
+            parse(STREAM_EXP_FLAGS, &["--metrics-interval", "10000", "--flight", "out/flight"])
+                .unwrap();
         assert_eq!(obs_args.metrics_interval, Some(obs::MetricsInterval::Requests(10000)));
         assert_eq!(obs_args.flight.as_deref(), Some("out/flight"));
-        let secs =
-            HarnessArgs::parse(["--metrics-interval".to_string(), "2.5s".to_string()].into_iter())
-                .unwrap();
+        let secs = parse(SIM_EXP_FLAGS, &["--metrics-interval", "2.5s"]).unwrap();
         assert_eq!(secs.metrics_interval, Some(obs::MetricsInterval::Seconds(2.5)));
-        assert!(HarnessArgs::parse(
-            ["--metrics-interval".to_string(), "0".to_string()].into_iter()
-        )
-        .is_err());
-        assert!(
-            HarnessArgs::parse(["--duration".to_string(), "-1".to_string()].into_iter()).is_err()
-        );
-        assert!(
-            HarnessArgs::parse(["--requests".to_string(), "0".to_string()].into_iter()).is_err()
-        );
-        assert!(HarnessArgs::parse(["--bogus".to_string()].into_iter()).is_err());
-        assert!(HarnessArgs::parse(["--trials".to_string()].into_iter()).is_err());
-        assert!(HarnessArgs::parse(["--trials".to_string(), "0".to_string()].into_iter()).is_err());
+        assert!(parse(STREAM_EXP_FLAGS, &["--metrics-interval", "0"]).is_err());
+        assert!(parse(SIM_EXP_FLAGS, &["--duration", "-1"]).is_err());
+        assert!(parse(STREAM_EXP_FLAGS, &["--requests", "0"]).is_err());
+        assert!(parse(STREAM_EXP_FLAGS, &["--bogus"]).is_err());
+        assert!(parse(STREAM_EXP_FLAGS, &["--trials"]).is_err());
+        assert!(parse(STREAM_EXP_FLAGS, &["--trials", "0"]).is_err());
+    }
+
+    #[test]
+    fn binaries_reject_each_others_flags() {
+        let err = parse(STREAM_EXP_FLAGS, &["--requests", "10", "--policy", "x"]).unwrap_err();
+        assert!(err.contains("--policy"), "error must name the flag: {err}");
+        let err = parse(SIM_EXP_FLAGS, &["--plan-cache", "8"]).unwrap_err();
+        assert!(err.contains("--plan-cache"), "error must name the flag: {err}");
+        for sim_only in ["--duration", "--audit-interval", "--json"] {
+            assert!(parse(STREAM_EXP_FLAGS, &[sim_only, "1"]).is_err(), "{sim_only}");
+        }
+        for figure_only in ["--greedy", "--no-ilp", "--threads"] {
+            assert!(parse(STREAM_EXP_FLAGS, &[figure_only]).is_err(), "{figure_only}");
+            assert!(parse(SIM_EXP_FLAGS, &[figure_only]).is_err(), "{figure_only}");
+        }
+        assert!(parse(LHOP_EXP_FLAGS, &["--requests", "5"]).is_err());
+        assert!(parse(FIGURE_FLAGS, &["--trace", "t.jsonl"]).is_err());
+        assert!(parse(STREAM_EXP_FLAGS, &["--match-engine", "rebuild"]).is_err());
+    }
+
+    /// Every invocation the CI workflow, README and verify notes document
+    /// still parses under its binary's flag list.
+    #[test]
+    fn documented_invocations_still_parse() {
+        let cases: [(&[&str], &[&str]); 14] = [
+            (FIGURE_FLAGS, &["--trials", "40", "--json", "results.json"]),
+            (FIGURE_FLAGS, &["--trials", "30", "--greedy", "--json", "r.json"]),
+            (FIGURE_FLAGS, &["--seed", "3", "--threads", "2", "--no-ilp"]),
+            (
+                LHOP_EXP_FLAGS,
+                &["--trials", "5", "--trace", "lhop.jsonl", "--seed", "1", "--no-ilp"],
+            ),
+            (STREAM_EXP_FLAGS, &["--trials", "1", "--requests", "200", "--trace", "s.jsonl"]),
+            (
+                STREAM_EXP_FLAGS,
+                &["--trials", "1", "--requests", "200", "--seed", "3", "--metrics-interval", "50"],
+            ),
+            (
+                STREAM_EXP_FLAGS,
+                &["--scenario", "sagin-1k", "--requests", "100000", "--metrics-interval", "10000"],
+            ),
+            (STREAM_EXP_FLAGS, &["--scenario", "sagin-1k", "--plan-cache", "4096"]),
+            (STREAM_EXP_FLAGS, &["--trials", "1", "--requests", "60", "--flight", "out"]),
+            (STREAM_EXP_FLAGS, &["--workers", "1"]),
+            (
+                SIM_EXP_FLAGS,
+                &["--duration", "120", "--seed", "7", "--json", "r.json", "--trace", "t.jsonl"],
+            ),
+            (
+                SIM_EXP_FLAGS,
+                &[
+                    "--scenario",
+                    "ba-1k",
+                    "--duration",
+                    "300",
+                    "--requests",
+                    "5000",
+                    "--workers",
+                    "3",
+                ],
+            ),
+            (SIM_EXP_FLAGS, &["--duration", "400", "--metrics-interval", "2.5s", "--flight", "d"]),
+            (SIM_EXP_FLAGS, &["--policy", "audit", "--audit-interval", "4"]),
+        ];
+        for (accepted, args) in cases {
+            assert!(parse(accepted, args).is_ok(), "{args:?} must parse");
+        }
     }
 
     #[test]
     fn scenario_flag_parses() {
-        let args =
-            HarnessArgs::parse(["--scenario", "sagin-1k"].iter().map(|s| s.to_string())).unwrap();
+        let args = parse(STREAM_EXP_FLAGS, &["--scenario", "sagin-1k"]).unwrap();
         assert_eq!(args.scenario.as_deref(), Some("sagin-1k"));
-        assert!(HarnessArgs::parse(["--scenario".to_string()].into_iter()).is_err());
+        assert!(parse(SIM_EXP_FLAGS, &["--scenario"]).is_err());
     }
 
     #[test]
     fn plan_cache_flag_parses_and_defaults_off() {
         assert_eq!(HarnessArgs::default().plan_cache, 0);
-        let args =
-            HarnessArgs::parse(["--plan-cache", "4096"].iter().map(|s| s.to_string())).unwrap();
+        let args = parse(STREAM_EXP_FLAGS, &["--plan-cache", "4096"]).unwrap();
         assert_eq!(args.plan_cache, 4096);
-        assert!(HarnessArgs::parse(["--plan-cache".to_string()].into_iter()).is_err());
-        assert!(HarnessArgs::parse(["--plan-cache".to_string(), "lots".to_string()].into_iter())
-            .is_err());
+        assert!(parse(STREAM_EXP_FLAGS, &["--plan-cache"]).is_err());
+        assert!(parse(STREAM_EXP_FLAGS, &["--plan-cache", "lots"]).is_err());
     }
 
     #[test]

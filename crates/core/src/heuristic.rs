@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use matching::{min_cost_max_b_matching_into, min_cost_max_matching_into};
+use matching::{LadderMatcher, LadderRound};
 use obs::Recorder;
 
 use crate::instance::AugmentationInstance;
@@ -37,25 +37,6 @@ pub enum StopRule {
     Exhaust,
 }
 
-/// Which matching solver runs each round of Algorithm 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatchEngine {
-    /// The incremental engine: per-round graphs are fed as pruned ladders
-    /// (dominance certificate checked per round, exact rebuild fallback when
-    /// it fails) and solved cold. Byte-identical to [`MatchEngine::Rebuild`]
-    /// — same pairs, bit-exact cost — and the default.
-    #[default]
-    Incremental,
-    /// The incremental engine with cross-round price carry (warm starts).
-    /// Matches [`MatchEngine::Rebuild`] cardinality and cost (up to fp
-    /// round-off) but may pick a different equal-cost assignment, so it is
-    /// opt-in and excluded from byte-identity guarantees.
-    IncrementalWarm,
-    /// Rebuild the full edge list and re-solve from scratch every round (the
-    /// historical path, kept as the reference).
-    Rebuild,
-}
-
 /// Configuration of Algorithm 2.
 #[derive(Debug, Clone, Default)]
 pub struct HeuristicConfig {
@@ -68,29 +49,15 @@ pub struct HeuristicConfig {
     /// absorb several instances per round instead of one), collapsing the
     /// round loop. Matched placements are still committed cheapest-first with
     /// a capacity check, so feasibility is preserved. `false` is the paper's
-    /// Algorithm 2. Forces the rebuild path regardless of `engine`.
+    /// Algorithm 2.
     pub batch_rounds: bool,
-    /// Per-round matching solver; see [`MatchEngine`].
-    pub engine: MatchEngine,
 }
 
 impl HeuristicConfig {
     pub fn with_stop(stop: StopRule) -> Self {
-        HeuristicConfig {
-            stop,
-            gain_floor: 1e-12,
-            batch_rounds: false,
-            engine: MatchEngine::default(),
-        }
+        HeuristicConfig { stop, gain_floor: 1e-12, batch_rounds: false }
     }
 }
-
-/// Minimum ladder gap (distance between consecutive `k`-step costs of one
-/// function) under which the dominance-pruned engine is provably
-/// trajectory-exact. Far above `mcmf`'s `1e-12` comparison epsilon, so
-/// eps-ties that could flip the pruned trajectory are excluded; rounds
-/// failing the certificate fall back to the full rebuild.
-const LADDER_CERT_GAP: f64 = 1e-6;
 
 /// Run Algorithm 2. Never violates capacities or locality.
 pub fn solve(inst: &AugmentationInstance, cfg: &HeuristicConfig) -> Outcome {
@@ -135,33 +102,43 @@ pub fn solve_scratch(
 
 /// Allocation-free core of Algorithm 2: builds the solution in `scratch.sol`
 /// (materialize it for an owned [`crate::solution::Augmentation`]) and
-/// returns the number of matching rounds. The result is bit-identical to the
-/// historical allocating implementation — same graphs, same matchings, same
-/// commit order, same floating-point expressions — for any prior state of
-/// `scratch`. Only the `batch_rounds` ablation and enabled-recorder event
-/// closures still allocate.
+/// returns the number of matching rounds. The result depends only on the
+/// instance and config, never on the prior state of `scratch`; with a warm
+/// scratch only enabled-recorder event closures allocate.
 pub fn solve_in(
     inst: &AugmentationInstance,
     cfg: &HeuristicConfig,
     rec: &mut Recorder,
     scratch: &mut SolveScratch,
 ) -> usize {
-    let SolveScratch { sol, heur, matching, matching_out, inc, .. } = scratch;
+    solve_rounds(inst, cfg, rec, scratch, |_, _| {})
+}
+
+/// [`solve_in`] that hands every round's matching input and its solved
+/// matching to `on_round` — how the oracle tests and the matching bench
+/// replay each round against the item-level min-cost flow.
+pub fn solve_rounds(
+    inst: &AugmentationInstance,
+    cfg: &HeuristicConfig,
+    rec: &mut Recorder,
+    scratch: &mut SolveScratch,
+    mut on_round: impl FnMut(&LadderRound<'_>, &LadderMatcher),
+) -> usize {
+    let SolveScratch { sol, heur, .. } = scratch;
     let crate::scratch::HeuristicScratch {
         cap,
         next_k,
         residual,
-        edges,
-        item_of,
         pairs,
         placed_per_func,
         fn_id,
         fn_bins,
         fn_bins_start,
-        item_cost,
-        round_funcs,
+        ladder,
+        ladder_start,
+        bin_cap,
         batch_min_demand,
-        batch_b_left,
+        matcher,
     } = heur;
     sol.begin(inst.chain_len());
     if inst.expectation_met_by_primaries() {
@@ -180,16 +157,24 @@ pub fn solve_in(
     next_k.resize(inst.chain_len(), 1);
     residual.clear();
     residual.extend(inst.bins.iter().map(|b| b.residual));
+    bin_cap.clear();
+    bin_cap.resize(inst.bins.len(), 1);
+    if cfg.batch_rounds {
+        // Per-bin multiplicity bound from the smallest eligible demand. It is
+        // optimistic for larger functions, so commits keep their capacity
+        // check.
+        batch_min_demand.clear();
+        batch_min_demand.extend((0..inst.bins.len()).map(|b| {
+            inst.functions
+                .iter()
+                .filter(|f| f.eligible_bins.contains(&b))
+                .map(|f| f.demand)
+                .fold(f64::INFINITY, f64::min)
+        }));
+    }
     let budget = inst.budget();
     let mut total_cost = 0.0f64;
     let mut rounds = 0usize;
-
-    // Engine session: resets any price carry left by the previous request.
-    let use_engine = !cfg.batch_rounds && cfg.engine != MatchEngine::Rebuild;
-    let warm_wanted = cfg.engine == MatchEngine::IncrementalWarm;
-    if use_engine {
-        inc.begin_request(inst.bins.len(), inst.chain_len());
-    }
     let mut lists_built = false;
 
     loop {
@@ -209,9 +194,12 @@ pub fn solve_in(
         }
 
         // Maintain the per-function usable-bin lists. First round: derive
-        // them from `eligible_bins`. Later rounds: filter the retained lists
-        // in place — residuals only shrink within a solve, so a bin (or a
-        // whole function) once dropped can never become usable again, and
+        // them from `eligible_bins`, roomiest bin first (ties by index): the
+        // matcher scans bins in this order, so the cheapest — most valuable
+        // — items land on the bins with the most residual, which are also
+        // the ones the final trim keeps. Later rounds: filter the retained
+        // lists in place — residuals only shrink within a solve, so a bin (or
+        // a whole function) once dropped can never become usable again, and
         // the delta filter yields exactly what a recompute would.
         if !lists_built {
             lists_built = true;
@@ -223,6 +211,8 @@ pub fn solve_in(
                 let start = fn_bins.len();
                 fn_bins
                     .extend(f.eligible_bins.iter().copied().filter(|&b| residual[b] >= f.demand));
+                fn_bins[start..]
+                    .sort_unstable_by(|&a, &b| residual[b].total_cmp(&residual[a]).then(a.cmp(&b)));
                 if fn_bins.len() > start {
                     fn_id.push(i);
                     fn_bins_start.push(fn_bins.len());
@@ -257,148 +247,78 @@ pub fn solve_in(
             fn_bins_start.truncate(w_fun + 1);
         }
 
-        // Enumerate this round's items (the cost ladders). A function can
-        // gain at most `usable` placements per round (each bin hosts at most
-        // one match), so only its next `usable` slots can possibly be
-        // matched; enumerating more only inflates the graph. The cost is
-        // strictly increasing in `k`; once the marginal underflows to zero
-        // (cost = +inf) this slot and every later one add no representable
-        // reliability, so they can't be usefully matched.
-        item_of.clear();
-        item_cost.clear();
-        round_funcs.clear();
-        let mut edges_full = 0usize;
+        // Enumerate this round's cost ladders, one per active function. A
+        // function can gain at most `usable` placements per round (each bin
+        // hosts at most one match), so only its next `usable` slots can
+        // possibly be matched; enumerating more only inflates the graph. The
+        // cost is strictly increasing in `k`; once the marginal underflows to
+        // zero (cost = +inf) this slot and every later one add no
+        // representable reliability, so they can't be usefully matched.
+        ladder.clear();
+        ladder_start.clear();
+        ladder_start.push(0);
+        let (mut edges, mut arcs) = (0usize, 0usize);
         for p in 0..fn_id.len() {
             let i = fn_id[p];
             let f = &inst.functions[i];
             let usable = fn_bins_start[p + 1] - fn_bins_start[p];
             let hi = cap[i].min(next_k[i] + usable - 1);
-            let first_item = item_of.len();
+            let first = ladder.len();
             for k in next_k[i]..=hi {
                 let cost = reliability::paper_cost(f.reliability, f.existing_backups + k);
                 if !cost.is_finite() {
                     break;
                 }
-                item_of.push((i, k));
-                item_cost.push(cost);
+                ladder.push(cost);
             }
-            let ladder = item_of.len() - first_item;
-            if ladder > 0 {
-                round_funcs.push((p, first_item));
-                edges_full += ladder * usable;
+            ladder_start.push(ladder.len());
+            if ladder.len() > first {
+                edges += (ladder.len() - first) * usable;
+                arcs += usable;
             }
         }
-        // Every item carries at least one edge (usable > 0), so "no items"
-        // is exactly the historical "no edges" guard.
-        if item_of.is_empty() {
+        if ladder.is_empty() {
             break;
         }
         rounds += 1;
         let rel_before = if rec.enabled() { sol.reliability(inst) } else { 0.0 };
 
-        // Solve the round: incremental engine when the dominance certificate
-        // holds, full rebuild otherwise (and always for batch/Rebuild).
-        let mut engine_round = false;
-        let mut warm_round = false;
-        let mut edges_live = edges_full as u64;
-        let mut round_passes = 0u64;
-        if use_engine {
-            inc.begin_round();
-            for (j, &(p, first)) in round_funcs.iter().enumerate() {
-                let end = round_funcs.get(j + 1).map_or(item_of.len(), |&(_, s)| s);
-                inc.start_function(fn_id[p]);
-                for &bin in &fn_bins[fn_bins_start[p]..fn_bins_start[p + 1]] {
-                    inc.push_bin(bin);
-                }
-                for &c in &item_cost[first..end] {
-                    inc.push_cost(c);
-                }
-                inc.finish_function();
-            }
-            if inc.ladders_certified(LADDER_CERT_GAP) {
-                engine_round = true;
-                let s0 = inc.stats();
-                inc.solve_into(warm_wanted, matching_out);
-                let s1 = inc.stats();
-                warm_round = s1.warm_rounds > s0.warm_rounds;
-                edges_live = s1.edges_materialized - s0.edges_materialized;
-                round_passes = s1.passes - s0.passes;
-                rec.count("matching.relaxations", s1.relaxations - s0.relaxations);
+        if cfg.batch_rounds {
+            for (c, (&r, &d)) in
+                bin_cap.iter_mut().zip(residual.iter().zip(batch_min_demand.iter()))
+            {
+                *c = if d.is_finite() { (r / d).floor() as usize } else { 0 };
             }
         }
-        if !engine_round {
-            // Expand the pruned representation to the historical edge list —
-            // identical item-major order — and run the reference solver.
-            edges.clear();
-            for (j, &(p, first)) in round_funcs.iter().enumerate() {
-                let end = round_funcs.get(j + 1).map_or(item_of.len(), |&(_, s)| s);
-                for (off, &cost) in item_cost[first..end].iter().enumerate() {
-                    let right = first + off;
-                    for &bin in &fn_bins[fn_bins_start[p]..fn_bins_start[p + 1]] {
-                        edges.push((bin, right, cost));
-                    }
-                }
-            }
-            if cfg.batch_rounds {
-                // Conservative per-bin multiplicity: what certainly fits even
-                // if every match demands the largest eligible function.
-                batch_min_demand.clear();
-                batch_min_demand.extend((0..inst.bins.len()).map(|b| {
-                    inst.functions
-                        .iter()
-                        .filter(|f| f.eligible_bins.contains(&b))
-                        .map(|f| f.demand)
-                        .fold(f64::INFINITY, f64::min)
-                }));
-                batch_b_left.clear();
-                batch_b_left.extend(residual.iter().zip(batch_min_demand.iter()).map(
-                    |(&r, &d)| {
-                        if d.is_finite() {
-                            (r / d).floor() as usize
-                        } else {
-                            0
-                        }
-                    },
-                ));
-                min_cost_max_b_matching_into(
-                    matching,
-                    batch_b_left,
-                    item_of.len(),
-                    edges,
-                    matching_out,
-                );
-            } else {
-                min_cost_max_matching_into(
-                    matching,
-                    inst.bins.len(),
-                    item_of.len(),
-                    edges,
-                    matching_out,
-                );
-            }
-            if use_engine && warm_wanted {
-                // The engine skipped this round, so its carried prices no
-                // longer describe the post-round duals; drop them rather than
-                // warm-start later rounds from a stale certificate.
-                inc.begin_request(inst.bins.len(), inst.chain_len());
-            }
-        }
-        if matching_out.is_empty() {
+        let round = LadderRound {
+            costs: ladder,
+            cost_start: ladder_start,
+            bins: fn_bins,
+            bin_start: fn_bins_start,
+            bin_cap,
+        };
+        matcher.solve(&round);
+        on_round(&round, matcher);
+        let matched = matcher.cardinality();
+        if matched == 0 {
             break;
         }
-        // Commit cheapest-first with a capacity check: exact for the unit
-        // matching (the graph only had fitting edges), necessary for the
-        // batch variant whose multiplicity bound used the *smallest* demand.
-        // Keying on (k, original position) makes the unstable sort reproduce
-        // the historical stable sort by k exactly.
+        // Commit cheapest-first — ordered by (k, function) — with a capacity
+        // check: exact for unit rounds (each bin takes at most one item, and
+        // only fitting bins are offered), necessary for batch rounds whose
+        // multiplicity bound used the *smallest* demand. A function's j-th
+        // assigned bin takes its j-th kept slot.
         pairs.clear();
-        pairs.extend(matching_out.pairs.iter().enumerate().map(|(pos, &(b, r))| (b, r, pos)));
-        pairs.sort_unstable_by_key(|&(_, r, pos)| (item_of[r].1, pos));
+        for p in 0..fn_id.len() {
+            let k0 = next_k[fn_id[p]];
+            pairs.extend(matcher.assigned(&round, p).enumerate().map(|(j, b)| (k0 + j, p, b)));
+        }
+        pairs.sort_unstable();
         placed_per_func.clear();
         placed_per_func.resize(inst.chain_len(), 0);
         let mut committed = 0usize;
-        for &(b, right, _) in pairs.iter() {
-            let (i, k) = item_of[right];
+        for &(k, p, b) in pairs.iter() {
+            let i = fn_id[p];
             if residual[b] >= inst.functions[i].demand {
                 residual[b] -= inst.functions[i].demand;
                 sol.add(i, b);
@@ -413,26 +333,16 @@ pub fn solve_in(
         rec.count("heuristic.rounds", 1);
         rec.count("heuristic.committed", committed as u64);
         // Matching-plane counters (consumed by stream_exp's matching table).
-        rec.count("matching.edges.full", edges_full as u64);
-        rec.count("matching.edges.materialized", edges_live);
-        rec.count("matching.passes", round_passes);
-        if engine_round {
-            rec.count("matching.rounds.engine", 1);
-            if warm_round {
-                rec.count("matching.warm_rounds", 1);
-            }
-        } else if use_engine {
-            rec.count("matching.rounds.fallback", 1);
-        } else {
-            rec.count("matching.rounds.rebuild", 1);
-        }
+        rec.count("matching.rounds.engine", 1);
+        rec.count("matching.edges.materialized", arcs as u64);
+        rec.count("matching.passes", matcher.searches());
+        rec.count("matching.relaxations", matcher.arcs_scanned());
         rec.emit_with(|| {
             let left_bins = {
                 // Distinct bins carrying at least one edge: the union of the
-                // usable-bin segments of every function that emitted items
-                // this round — the same set the historical edge-list scan saw.
+                // usable-bin segments of every function with items this round.
                 let mut seen = vec![false; inst.bins.len()];
-                for &(p, _) in round_funcs.iter() {
+                for p in (0..fn_id.len()).filter(|&p| ladder_start[p + 1] > ladder_start[p]) {
                     for &bin in &fn_bins[fn_bins_start[p]..fn_bins_start[p + 1]] {
                         seen[bin] = true;
                     }
@@ -442,23 +352,11 @@ pub fn solve_in(
             obs::Event::new("heuristic.round")
                 .with("round", rounds)
                 .with("left_bins", left_bins)
-                .with("right_items", item_of.len())
-                .with("edges", edges_full)
-                .with("edges_live", edges_live)
-                .with(
-                    "engine",
-                    if engine_round {
-                        "incremental"
-                    } else if use_engine {
-                        "fallback"
-                    } else if cfg.batch_rounds {
-                        "batch"
-                    } else {
-                        "rebuild"
-                    },
-                )
-                .with("warm", warm_round)
-                .with("matched", matching_out.pairs.len())
+                .with("right_items", ladder.len())
+                .with("edges", edges)
+                .with("arcs", arcs)
+                .with("matched", matched)
+                .with("cost", matcher.cost())
                 .with("committed", committed)
                 .with("reliability", sol.reliability(inst))
                 .with("reliability_gain", sol.reliability(inst) - rel_before)
@@ -467,7 +365,7 @@ pub fn solve_in(
             break;
         }
         // Matched items per function are exactly its cheapest remaining slots
-        // (min-cost matching always prefers lower k).
+        // (the greedy keeps a ladder prefix).
         for (i, &p) in placed_per_func.iter().enumerate() {
             next_k[i] += p;
         }

@@ -23,7 +23,6 @@
 use crate::instance::AugmentationInstance;
 use crate::reliability;
 use crate::solution::Augmentation;
-use matching::{Matching, MatchingScratch};
 
 /// Chain reliability from per-function secondary counts, without building an
 /// [`Augmentation`]. Bit-identical to [`Augmentation::reliability`]: same
@@ -182,34 +181,31 @@ pub struct HeuristicScratch {
     pub cap: Vec<usize>,
     pub next_k: Vec<usize>,
     pub residual: Vec<f64>,
-    /// Bipartite edges `(bin, right item, cost)` of the current round — only
-    /// filled when a round takes the rebuild/fallback/batch path; the
-    /// incremental engine consumes the pruned CSR below instead.
-    pub edges: Vec<(usize, usize, f64)>,
-    /// Right item index -> `(func, k)`.
-    pub item_of: Vec<(usize, usize)>,
-    /// Matched pairs `(bin, right, position)` for the stable commit order.
+    /// This round's kept placements `(k, active position, bin)`, sorted
+    /// into the cheapest-first commit order.
     pub pairs: Vec<(usize, usize, usize)>,
     pub placed_per_func: Vec<usize>,
     /// Delta-maintained usable-bin lists: `fn_id` holds the still-active
     /// functions (ascending), `fn_bins[fn_bins_start[p]..fn_bins_start[p+1]]`
-    /// the usable bins of `fn_id[p]` in eligible order. Built once per
-    /// request, then filtered in place each round — residuals only shrink
-    /// within a solve, so the filter is identical to recomputing from
-    /// `eligible_bins`.
+    /// the usable bins of `fn_id[p]`, roomiest first at the start of the
+    /// solve (ties by bin index). Built once per request, then filtered in
+    /// place each round — residuals only shrink within a solve, so the
+    /// filter is identical to recomputing from `eligible_bins`.
     pub fn_id: Vec<usize>,
     pub fn_bins: Vec<usize>,
     pub fn_bins_start: Vec<usize>,
-    /// Per-item Eq. 3 cost, aligned with `item_of` (one ladder per function,
-    /// strictly increasing in `k`).
-    pub item_cost: Vec<f64>,
-    /// Functions contributing items this round: `(active position, first
-    /// item index)`; the segment ends where the next entry starts.
-    pub round_funcs: Vec<(usize, usize)>,
-    /// `batch_rounds` ablation buffers (per-bin smallest eligible demand and
-    /// the derived multiplicity bound).
+    /// This round's Eq. 3 cost ladders, one per active function:
+    /// `ladder[ladder_start[p]..ladder_start[p + 1]]` holds `fn_id[p]`'s
+    /// next slots, strictly increasing in `k`.
+    pub ladder: Vec<f64>,
+    pub ladder_start: Vec<usize>,
+    /// Per-bin matching capacity: 1 for the paper's unit rounds, the
+    /// `batch_rounds` multiplicity bound otherwise.
+    pub bin_cap: Vec<usize>,
+    /// `batch_rounds` ablation: per-bin smallest eligible demand.
     pub batch_min_demand: Vec<f64>,
-    pub batch_b_left: Vec<usize>,
+    /// The per-round function-level matching solver.
+    pub matcher: matching::LadderMatcher,
 }
 
 /// Buffers for the stream commit step (the admitted chain's demand list).
@@ -223,13 +219,6 @@ pub struct CommitScratch {
 pub struct SolveScratch {
     pub sol: SolutionScratch,
     pub heur: HeuristicScratch,
-    pub matching: MatchingScratch,
-    /// Output slot for [`matching::min_cost_max_matching_into`].
-    pub matching_out: Matching,
-    /// Ladder-aware incremental matching engine (dominance-pruned graphs,
-    /// optional cross-round price carry). Holds no cross-request state the
-    /// heuristic doesn't explicitly reset via `begin_request`.
-    pub inc: matching::IncrementalMatcher,
     pub commit: CommitScratch,
     /// Revised-simplex workspace (factorization + eta-file buffers) reused by
     /// the exact ILP path so branch-and-bound node re-solves allocate nothing.
@@ -249,9 +238,6 @@ impl SolveScratch {
         SolveScratch {
             sol: SolutionScratch::default(),
             heur: HeuristicScratch::default(),
-            matching: MatchingScratch::new(),
-            matching_out: Matching { pairs: Vec::new(), cost: 0.0 },
-            inc: matching::IncrementalMatcher::new(),
             commit: CommitScratch::default(),
             lp: milp::LpWorkspace::new(),
         }

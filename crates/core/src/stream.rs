@@ -64,26 +64,16 @@ impl Algorithm {
         }
     }
 
-    /// Run the configured algorithm on one instance with telemetry — the
-    /// single dispatch point every multi-request driver (the stream pipeline,
-    /// the failure/recovery simulator) shares. `rng` only feeds the
-    /// randomized algorithm; the others ignore it. Solver errors (ILP/LP
-    /// infeasibility, which well-formed instances never produce) panic, as
-    /// the callers have no meaningful recovery.
-    pub fn solve_traced<R: Rng + ?Sized>(
-        &self,
-        inst: &AugmentationInstance,
-        rng: &mut R,
-        rec: &mut Recorder,
-    ) -> Outcome {
-        self.solve_scratch(inst, rng, rec, &mut SolveScratch::new())
-    }
-
-    /// [`Algorithm::solve_traced`] on caller-owned scratch buffers — what the
-    /// streaming drivers use so the per-request steady state allocates
-    /// nothing. The ILP reuses the scratch's LP workspace (factorization and
-    /// eta-file buffers) across requests; its branch-and-bound *state* is
-    /// still per-solve.
+    /// Run the configured algorithm on one instance with telemetry, on
+    /// caller-owned scratch buffers — the single dispatch point every
+    /// multi-request caller (the stream pipeline, the failure/recovery
+    /// simulator) shares, so the per-request steady state allocates nothing.
+    /// `rng` only feeds the randomized algorithm; the others ignore it.
+    /// Solver errors (ILP/LP infeasibility, which well-formed instances never
+    /// produce) panic, as the callers have no meaningful recovery. The ILP
+    /// reuses the scratch's LP workspace (factorization and eta-file
+    /// buffers) across requests; its branch-and-bound *state* is still
+    /// per-solve.
     pub fn solve_scratch<R: Rng + ?Sized>(
         &self,
         inst: &AugmentationInstance,

@@ -1,14 +1,16 @@
 //! Property tests on the augmentation algorithms over randomly generated
 //! small instances: dominance, feasibility, and trim invariants must hold on
-//! every input, not just the paper's workload.
+//! every input, not just the paper's workload; and every matching round the
+//! heuristic solves must agree with the item-level min-cost-flow oracle.
 
+use matching::{min_cost_max_b_matching, min_cost_max_matching};
 use mecnet::graph::NodeId;
 use mecnet::vnf::VnfTypeId;
 use proptest::prelude::*;
 use relaug::heuristic::{HeuristicConfig, StopRule};
 use relaug::ilp::IlpConfig;
 use relaug::instance::{AugmentationInstance, Bin, FunctionSlot};
-use relaug::{greedy, heuristic, ilp, randomized};
+use relaug::{greedy, heuristic, ilp, randomized, SolveScratch};
 
 /// Strategy: random small instances with consistent eligibility and K_i.
 fn arb_instance() -> impl Strategy<Value = AugmentationInstance> {
@@ -148,6 +150,37 @@ proptest! {
             let mut probe = heur.augmentation.clone();
             let more = probe.trim_to_expectation(&inst);
             prop_assert_eq!(more, 0, "trim left removable surplus");
+        }
+    }
+
+    /// Each round's function-level matching — unit rounds and the
+    /// `batch_rounds` ablation alike — is exact: matched count and cost equal
+    /// the item-level MCMF oracle's on that round's input.
+    #[test]
+    fn heuristic_rounds_match_the_mcmf_oracle(inst in arb_instance(), batch in any::<bool>()) {
+        let mut scratch = SolveScratch::new();
+        let mut edges = Vec::new();
+        for stop in [StopRule::Expectation, StopRule::Exhaust] {
+            let cfg = HeuristicConfig { stop, batch_rounds: batch, ..Default::default() };
+            let mut rec = obs::Recorder::noop();
+            let rounds = heuristic::solve_rounds(&inst, &cfg, &mut rec, &mut scratch, |round, m| {
+                round.item_edges(&mut edges);
+                let (n_bins, n_items) = (round.bin_cap.len(), round.costs.len());
+                let oracle = if batch {
+                    min_cost_max_b_matching(round.bin_cap, n_items, &edges)
+                } else {
+                    min_cost_max_matching(n_bins, n_items, &edges)
+                };
+                assert_eq!(m.cardinality(), oracle.cardinality(), "round on {inst:?}");
+                assert!(
+                    (m.cost() - oracle.cost).abs() <= 1e-9 * oracle.cost.abs().max(1.0),
+                    "round cost {} vs oracle {} on {inst:?}",
+                    m.cost(),
+                    oracle.cost
+                );
+            });
+            let out = heuristic::solve(&inst, &cfg);
+            prop_assert_eq!(out.solver, relaug::solution::SolverInfo::Heuristic { matching_rounds: rounds });
         }
     }
 }

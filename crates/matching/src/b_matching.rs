@@ -8,7 +8,7 @@
 //! that changes.
 
 use crate::mcmf::McmfGraph;
-use crate::{Matching, MatchingScratch};
+use crate::Matching;
 
 /// Minimum-cost maximum b-matching.
 ///
@@ -24,36 +24,16 @@ pub fn min_cost_max_b_matching(
     n_right: usize,
     edges: &[(usize, usize, f64)],
 ) -> Matching {
-    let mut scratch = MatchingScratch::new();
-    let mut out = Matching { pairs: Vec::new(), cost: 0.0 };
-    min_cost_max_b_matching_into(&mut scratch, b_left, n_right, edges, &mut out);
-    out
-}
-
-/// [`min_cost_max_b_matching`] writing into a caller-owned [`Matching`] and
-/// reusing `scratch`'s buffers (the same [`MatchingScratch`] the unit
-/// matching uses). The network is rebuilt in the same arc order every call,
-/// so results are bit-identical to the allocating entry point; with a warm
-/// scratch the solve allocates nothing — this is what lets the heuristic's
-/// `batch_rounds` ablation run under the counting-allocator gate.
-pub fn min_cost_max_b_matching_into(
-    scratch: &mut MatchingScratch,
-    b_left: &[usize],
-    n_right: usize,
-    edges: &[(usize, usize, f64)],
-    out: &mut Matching,
-) {
     let n_left = b_left.len();
     let s = n_left + n_right;
     let t = s + 1;
-    let g: &mut McmfGraph = &mut scratch.graph;
-    g.reset(n_left + n_right + 2);
-    scratch.edge_ids.clear();
+    let mut g = McmfGraph::new(n_left + n_right + 2);
+    let mut edge_ids = Vec::with_capacity(edges.len());
     for &(l, r, c) in edges {
         assert!(l < n_left, "left endpoint {l} out of range");
         assert!(r < n_right, "right endpoint {r} out of range");
         assert!(c.is_finite(), "non-finite edge cost");
-        scratch.edge_ids.push(g.add_edge(l, n_left + r, 1, c));
+        edge_ids.push(g.add_edge(l, n_left + r, 1, c));
     }
     for (l, &b) in b_left.iter().enumerate() {
         if b > 0 {
@@ -64,16 +44,16 @@ pub fn min_cost_max_b_matching_into(
         g.add_edge(n_left + r, t, 1, 0.0);
     }
     let result = g.min_cost_max_flow(s, t, None);
-    out.pairs.clear();
-    out.cost = 0.0;
+    let mut out = Matching { pairs: Vec::new(), cost: 0.0 };
     for (i, &(l, r, c)) in edges.iter().enumerate() {
-        if g.flow_on(scratch.edge_ids[i]) == 1 {
+        if g.flow_on(edge_ids[i]) == 1 {
             out.pairs.push((l, r));
             out.cost += c;
         }
     }
     out.pairs.sort_unstable();
     debug_assert_eq!(out.pairs.len(), result.flow as usize);
+    out
 }
 
 #[cfg(test)]
@@ -110,24 +90,6 @@ mod tests {
         let edges = [(0, 0, 1.0), (1, 0, 9.0)];
         let m = min_cost_max_b_matching(&[0, 1], 1, &edges);
         assert_eq!(m.pairs, vec![(1, 0)]);
-    }
-
-    #[test]
-    fn reused_scratch_matches_fresh_solves() {
-        type Case = (Vec<usize>, usize, Vec<(usize, usize, f64)>);
-        let cases: Vec<Case> = vec![
-            (vec![1, 1], 2, vec![(0, 0, 1.0), (0, 1, 4.0), (1, 0, 2.0), (1, 1, 1.5)]),
-            (vec![3], 3, vec![(0, 0, 1.0), (0, 1, 2.0), (0, 2, 3.0)]),
-            (vec![0, 1], 1, vec![(0, 0, 1.0), (1, 0, 9.0)]),
-            (vec![2], 3, vec![(0, 0, 5.0), (0, 1, 1.0), (0, 2, 3.0)]),
-        ];
-        let mut scratch = MatchingScratch::new();
-        let mut out = Matching { pairs: Vec::new(), cost: 0.0 };
-        for (b_left, n_right, edges) in &cases {
-            min_cost_max_b_matching_into(&mut scratch, b_left, *n_right, edges, &mut out);
-            let fresh = min_cost_max_b_matching(b_left, *n_right, edges);
-            assert_eq!(out, fresh);
-        }
     }
 
     #[test]

@@ -60,9 +60,9 @@ pub fn min_cost_max_matching(
 }
 
 /// Reusable workspace for [`min_cost_max_matching_into`]: the flow network
-/// and edge-handle buffer survive across solves, so repeated matchings (one
-/// per heuristic round per streamed request) allocate nothing after the
-/// buffers reach their high-water mark.
+/// and edge-handle buffer survive across solves, so repeated matchings (the
+/// reference side of the matching bench) allocate nothing after the buffers
+/// reach their high-water mark.
 #[derive(Debug, Clone)]
 pub struct MatchingScratch {
     pub(crate) graph: McmfGraph,

@@ -4,16 +4,17 @@
 //! The paper's Algorithm 2 repeatedly computes a **minimum-cost maximum
 //! matching** between cloudlets and candidate secondary VNF instances ("find a
 //! minimum-cost maximum matching `M_l` in `G_l`, by the Hungarian algorithm").
-//! On the sparse bipartite graphs the algorithm builds, the cleanest exact
-//! method is successive-shortest-path min-cost max-flow; this crate provides
-//! that as the production API and two independent implementations for
-//! cross-validation:
+//! Its round graphs have a special shape — an edge's cost depends only on the
+//! item, and all items of one function share one bin set — so the heuristic
+//! solves them with a function-level matroid greedy; the general solvers stay
+//! as its oracles and as independent cross-checks of one another:
 //!
-//! * [`bipartite::min_cost_max_matching`] — production API on sparse edge
-//!   lists, backed by [`mcmf`].
-//! * [`incremental::IncrementalMatcher`] — ladder-aware engine for the
-//!   heuristic's round-structured graphs: dominance-pruned lazy right side,
-//!   byte-identical to the rebuild path, with opt-in cross-round price reuse.
+//! * [`ladder::LadderMatcher`] — the heuristic's solver: exact min-cost
+//!   maximum matching for ladder-structured rounds, unit or capacitated bins,
+//!   allocation-free when warm.
+//! * [`bipartite::min_cost_max_matching`] — min-cost maximum matching on
+//!   sparse edge lists, backed by [`mcmf`] (and [`b_matching`] for
+//!   capacitated left nodes).
 //! * [`hungarian::solve`] — classical dense-matrix assignment
 //!   (Jonker–Volgenant style shortest augmenting paths), used by tests to
 //!   confirm the sparse solver on complete instances.
@@ -22,16 +23,15 @@
 //! * [`brute`] — exponential exact search for tiny graphs, the property-test
 //!   oracle.
 
-pub mod auction;
 pub mod b_matching;
 pub mod bipartite;
 pub mod brute;
 pub mod hopcroft_karp;
 pub mod hungarian;
-pub mod incremental;
+pub mod ladder;
 pub mod mcmf;
 
-pub use b_matching::{min_cost_max_b_matching, min_cost_max_b_matching_into};
+pub use b_matching::min_cost_max_b_matching;
 pub use bipartite::{min_cost_max_matching, min_cost_max_matching_into, Matching, MatchingScratch};
-pub use incremental::{IncrementalMatcher, MatchStats};
+pub use ladder::{LadderMatcher, LadderRound};
 pub use mcmf::{FlowResult, McmfGraph};

@@ -9,9 +9,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Tolerance under which a reduced cost is clamped to zero (guards Dijkstra
-/// against `-1e-17`-style round-off). Shared with the incremental engine,
-/// whose relaxations must take the exact same eps-strict branches.
-pub(crate) const COST_EPS: f64 = 1e-12;
+/// against `-1e-17`-style round-off).
+const COST_EPS: f64 = 1e-12;
 
 #[derive(Debug, Clone)]
 struct Arc {
@@ -36,9 +35,7 @@ pub struct FlowResult {
 /// A directed flow network with real-valued arc costs.
 ///
 /// The graph owns its shortest-path working arrays, so a long-lived instance
-/// can be [`McmfGraph::reset`] and rebuilt every solve without allocating —
-/// the streaming heuristic runs one matching per round per request, and this
-/// reuse is what keeps that path allocation-free.
+/// can be [`McmfGraph::reset`] and rebuilt every solve without allocating.
 #[derive(Debug, Clone)]
 pub struct McmfGraph {
     arcs: Vec<Arc>,       // forward arc at even index, residual at odd

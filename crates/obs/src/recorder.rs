@@ -15,11 +15,12 @@ pub enum Sink {
     /// Discard everything. `enabled()` is false, so callers skip event
     /// construction entirely.
     Noop,
-    /// Keep counters/timings but discard events. `enabled()` is
-    /// true — instrumented code still bumps counters (solver node counts,
-    /// pivot totals) — yet no per-event memory or I/O is paid. This is the
-    /// sink behind windowed metrics mode, where aggregates matter but a
-    /// per-request event stream would be unbounded.
+    /// Keep counters/timings and the emitted-event count but discard the
+    /// events. `enabled()` is true — instrumented code still bumps counters
+    /// (solver node counts, pivot totals) — yet no per-event memory or I/O
+    /// is paid. This is the sink behind windowed metrics mode and untraced
+    /// runs, where aggregates matter but a per-request event stream would be
+    /// unbounded.
     Counters,
     /// Keep events in memory for inspection (tests, `Outcome::telemetry`).
     Memory(Vec<Event>),
@@ -62,8 +63,9 @@ impl Recorder {
         Recorder::with_sink(Sink::Noop)
     }
 
-    /// Aggregates-only recorder: counters and timings accumulate,
-    /// but emitted events are discarded (see [`Sink::Counters`]).
+    /// Aggregates-only recorder: counters, timings and the emitted-event
+    /// count accumulate, but the events are discarded (see
+    /// [`Sink::Counters`]).
     pub fn counters_only() -> Recorder {
         Recorder::with_sink(Sink::Counters)
     }
@@ -118,7 +120,8 @@ impl Recorder {
             fl.push(event.clone());
         }
         match &mut self.sink {
-            Sink::Noop | Sink::Counters => return,
+            Sink::Noop => return,
+            Sink::Counters => {}
             Sink::Memory(buf) => buf.push(event),
             Sink::Jsonl(w) => {
                 let _ = writeln!(w, "{}", event.to_json());
@@ -127,13 +130,17 @@ impl Recorder {
         self.events_emitted += 1;
     }
 
-    /// Emit an event built lazily: under a no-op recorder the closure is
-    /// never invoked, so callers can put formatting and snapshotting work
-    /// inside it without paying for it when telemetry is off.
+    /// Emit an event built lazily: the closure runs only when something
+    /// observes the event — never under a no-op recorder, and a counters-only
+    /// recorder without a flight ring just counts it — so callers can put
+    /// formatting and snapshotting work inside it without paying for it when
+    /// nothing reads the event.
     #[inline]
     pub fn emit_with<F: FnOnce() -> Event>(&mut self, build: F) {
-        if self.enabled() {
-            self.emit(build());
+        match (&self.sink, &self.flight) {
+            (Sink::Noop, None) => {}
+            (Sink::Counters, None) => self.events_emitted += 1,
+            _ => self.emit(build()),
         }
     }
 
@@ -329,10 +336,29 @@ mod tests {
         rec.emit(Event::new("solver.node").with("i", 1u64));
         rec.count("solver.pivots", 9);
         rec.record_time("lp", Duration::from_millis(2));
-        assert_eq!(rec.events_emitted(), 0, "events are dropped");
-        assert!(rec.events().is_empty());
+        assert!(rec.events().is_empty(), "events are dropped");
         assert_eq!(rec.summary().counter("solver.pivots"), 9);
         assert!((rec.summary().timing_s("lp") - 0.002).abs() < 1e-9);
+    }
+
+    #[test]
+    fn counters_only_counts_emitted_events_like_memory() {
+        let mut counters = Recorder::counters_only();
+        let mut memory = Recorder::memory();
+        let mut built = 0;
+        for rec in [&mut counters, &mut memory] {
+            for k in 0..5u64 {
+                rec.emit(Event::new("stream.request").with("id", k));
+            }
+            rec.emit_with(|| {
+                built += 1;
+                Event::new("heuristic.round")
+            });
+        }
+        assert_eq!(built, 1, "a counted-only event is never built");
+        assert_eq!(counters.events_emitted(), 6);
+        assert_eq!(counters.events_emitted(), memory.events_emitted());
+        assert_eq!(counters.summary().events_emitted, 6);
     }
 
     #[test]

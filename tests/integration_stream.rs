@@ -13,6 +13,7 @@ use mec_sfc_reliability::obs::Recorder;
 use mec_sfc_reliability::relaug::stream::{
     process_stream_seeded, Algorithm, StreamConfig, StreamObservation, StreamOutcome,
 };
+use mec_sfc_reliability::scen::{RequestStream, ScenarioSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -222,6 +223,30 @@ proptest! {
         let (again, _) =
             process_stream_seeded(&net, &cat, &reqs, &cfg, pipeline_seed, &mut Recorder::noop());
         prop_assert_eq!(&again, &out);
+    }
+}
+
+/// The heuristic's function-level matching on zoo substrates: complete,
+/// id-ordered records and every residual within `[0, cap]`.
+#[test]
+fn heuristic_zoo_streams_keep_invariants() {
+    for preset in ["waxman-100", "fattree-16"] {
+        let built = ScenarioSpec::preset(preset).expect("known preset").build();
+        let reqs: Vec<SfcRequest> = RequestStream::new(&built, 1500).collect();
+        let cfg = StreamConfig {
+            algorithm: Algorithm::Heuristic(Default::default()),
+            ..Default::default()
+        };
+        let (out, ob) = process_stream_seeded(
+            &built.network,
+            &built.catalog,
+            &reqs,
+            &cfg,
+            built.spec.seed,
+            &mut Recorder::noop(),
+        );
+        assert!(out.admitted() > 0, "{preset}: nothing admitted");
+        assert_stream_invariants(&built.network, &reqs, &out, &ob);
     }
 }
 
